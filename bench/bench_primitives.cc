@@ -73,6 +73,9 @@ void ReportOps(benchmark::State& state, const OpSnapshot& before) {
   state.counters["enc"] = static_cast<double>(delta.encryptions) / iters;
   state.counters["dec"] = static_cast<double>(delta.decryptions) / iters;
   state.counters["exp"] = static_cast<double>(delta.exponentiations) / iters;
+  state.counters["inv"] = static_cast<double>(delta.inversions) / iters;
+  state.counters["small_exp"] =
+      static_cast<double>(delta.small_exponentiations) / iters;
 }
 
 void BM_PaillierEncrypt(benchmark::State& state) {

@@ -18,7 +18,13 @@
 #         EncryptMany/DecryptMany/RerandomizeMany/PowModMany so it shares
 #         the randomizer pool and thread fan-out (docs/CRYPTO.md). A
 #         justified scalar call carries a `// batch-exempt: <why>` marker on
-#         its own line or the line above.
+#         its own line or the line above;
+#       - no negation by exponent in src/proto/ or src/core/: a MulScalar
+#         whose exponent is N-1 or N-2 (`n - BigInt(1)`, `n_minus_2`, ...)
+#         is a full-width modexp standing in for Negate, which is one
+#         modular inversion (docs/CRYPTO.md, "Negation by inversion"). A
+#         justified call carries a `// negate-exempt: <why>` marker on its
+#         first line or the line above.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -109,6 +115,36 @@ if [ -n "${scalar_crypto}" ]; then
   fail "scalar per-element crypto calls in src/proto/ — use the batch API \
 (EncryptMany/DecryptMany/RerandomizeMany/PowModMany, crypto/paillier.h) or \
 mark the call '// batch-exempt: <why>'" "${scalar_crypto}"
+fi
+
+# --- 1f. Negation by exponent in the protocol code ------------------------
+# Epk(a)^(N-1) and Epk(a)^(N-2) cost a full-width modexp each; Negate (and
+# Sub, and Negate(Add(c, c)) for -2a) cost one inversion. The whole
+# MulScalar call is checked, also when it spans lines (up to its `;`).
+negation_by_exp=$(awk '
+  function check() {
+    if (call ~ /MulScalar\(/ &&
+        call ~ /([A-Za-z_]+[ \t]*-[ \t]*BigInt\([ \t]*[12][ \t]*\)|n_minus_[12])/ &&
+        call !~ /negate-exempt:/ && start != exempt_line) {
+      printf "%s:%d:%s\n", file, start_fnr, first
+    }
+    call = ""
+  }
+  FNR == 1 { call = "" }
+  {
+    if (call == "" && $0 ~ /MulScalar\(/) {
+      call = $0; first = $0; start = NR; start_fnr = FNR; file = FILENAME
+    } else if (call != "") {
+      call = call " " $0
+    }
+    if (call != "" && $0 ~ /;/) check()
+    if ($0 ~ /negate-exempt:/) exempt_line = NR + 1
+  }
+' src/proto/*.cc src/core/*.cc 2>/dev/null || true)
+if [ -n "${negation_by_exp}" ]; then
+  fail "negation by an N-1 / N-2 exponent in src/proto/ or src/core/ — use \
+Negate/Sub (one modular inversion, crypto/paillier.h) or mark the call \
+'// negate-exempt: <why>'" "${negation_by_exp}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

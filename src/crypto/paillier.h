@@ -4,7 +4,7 @@
 // Properties used throughout the protocols:
 //   Epk(a+b) = Epk(a) * Epk(b)        mod N^2   (homomorphic addition)
 //   Epk(a*b) = Epk(a)^b               mod N^2   (homomorphic scalar multiply)
-//   Epk(-a)  = Epk(a)^(N-1)           mod N^2   ("N - x is -x under Z_N")
+//   Epk(-a)  = Epk(a)^(-1)            mod N^2   (homomorphic negation)
 //
 // Implementation notes:
 //  * g = N + 1, so encryption is c = (1 + mN) * r^N mod N^2 — one modexp.
@@ -236,10 +236,14 @@ class PaillierPublicKey {
   /// no modexp).
   Ciphertext AddPlain(const Ciphertext& a, const BigInt& m) const;
   /// \brief Epk(a * s) from Epk(a) and plaintext scalar s (reduced mod N).
+  /// Counted as a small exponentiation when s mod N fits in 64 bits, as a
+  /// full-width one otherwise.
   Ciphertext MulScalar(const Ciphertext& a, const BigInt& s) const;
-  /// \brief Epk(-a) = Epk(a)^(N-1).
+  /// \brief Epk(-a) = Epk(a)^(-1) mod N^2: one modular inversion. A value
+  /// that is not a unit (gcd(c, N) != 1, never an honest ciphertext) gets
+  /// the c^(N-1) value instead, so a malformed peer reply cannot abort.
   Ciphertext Negate(const Ciphertext& a) const;
-  /// \brief Epk(a - b).
+  /// \brief Epk(a - b) = Epk(a) * Epk(b)^(-1).
   Ciphertext Sub(const Ciphertext& a, const Ciphertext& b) const;
   /// \brief Fresh randomization of the same plaintext: c * r^N.
   Ciphertext Rerandomize(const Ciphertext& a, Random& rng) const;

@@ -39,17 +39,18 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
                       /*out_arity=*/1));
 
   // Step 3: strip the cross terms:
-  //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(ra*rb)^{N-1}.
+  //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(N - ra*rb).
+  // C1 knows ra*rb, so it encrypts its negation directly.
   std::vector<BigInt> cross_plain(count);
   for (std::size_t i = 0; i < count; ++i) {
-    cross_plain[i] = ra[i].MulMod(rb[i], n);
+    cross_plain[i] = BigInt(0).SubMod(ra[i].MulMod(rb[i], n), n);
   }
-  std::vector<Ciphertext> cross = pk.EncryptMany(cross_plain, ctx.pool());
+  std::vector<Ciphertext> neg_cross = pk.EncryptMany(cross_plain, ctx.pool());
   std::vector<Ciphertext> out(count);
   ctx.ForEach(count, [&](std::size_t i) {
     Ciphertext s = pk.Add(Ciphertext(h[i]), pk.MulScalar(eas[i], n - rb[i]));
     Ciphertext s_prime = pk.Add(s, pk.MulScalar(ebs[i], n - ra[i]));
-    out[i] = pk.Add(s_prime, pk.MulScalar(cross[i], n - BigInt(1)));
+    out[i] = pk.Add(s_prime, neg_cross[i]);
   });
   return out;
 }

@@ -41,7 +41,6 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
   const PaillierPublicKey& pk = ctx.pk();
   const BigInt& n = pk.n();
   const BigInt n_minus_1 = n - BigInt(1);
-  const BigInt n_minus_2 = n - BigInt(2);
 
   // -- Round trip 1: Epk(u_i * v_i) for every pair and bit via batched SM.
   std::vector<Ciphertext> flat_u(count * l), flat_v(count * l);
@@ -87,9 +86,9 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
       // batch-exempt: sequential H-chain, cannot batch
       gamma[i] = pk.Add(diff, pk.Encrypt(st.r_hat[i], rng));
 
-      // G_i = Epk(u_i XOR v_i) = Epk(u_i + v_i - 2 u_i v_i).
-      Ciphertext g =
-          pk.Add(pk.Add(ui, vi), pk.MulScalar(uivi, n_minus_2));
+      // G_i = Epk(u_i XOR v_i) = Epk(u_i + v_i - 2 u_i v_i): one squaring
+      // and one inversion.
+      Ciphertext g = pk.Sub(pk.Add(ui, vi), pk.Add(uivi, uivi));
       // H_i = H_{i-1}^{r_i} * G_i with r_i nonzero: preserves the first
       // Epk(1), randomizes everything after it.
       Ciphertext h = pk.Add(pk.MulScalar(h_prev, rng.NonZeroBelow(n)), g);

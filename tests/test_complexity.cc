@@ -26,26 +26,26 @@
 #include "tests/proto_test_util.h"
 
 namespace sknn {
+
+// gtest prints OpSnapshot mismatches through this.
+void PrintTo(const OpSnapshot& ops, std::ostream* os) { *os << ops.ToString(); }
+
 namespace {
 
-struct Ops {
-  uint64_t enc, dec, exp, mul;
-  bool operator==(const Ops&) const = default;
-};
+// Ops fields in order: {enc, dec, exp, mul, inv, small_exp}. exp counts
+// full-width exponentiations only; small exponentiations (scalar <= 64
+// bits) and inversions (negation) are separate classes.
+using Ops = OpSnapshot;
 
 Ops Measure(const std::function<void()>& fn) {
   OpSnapshot before = OpCounters::Snapshot();
   fn();
-  OpSnapshot d = OpCounters::Snapshot() - before;
-  return {d.encryptions, d.decryptions, d.exponentiations, d.multiplications};
+  return OpCounters::Snapshot() - before;
 }
 
 Ops Scale(const Ops& o, uint64_t f) {
-  return {o.enc * f, o.dec * f, o.exp * f, o.mul * f};
-}
-
-Ops Diff(const Ops& a, const Ops& b) {
-  return {a.enc - b.enc, a.dec - b.dec, a.exp - b.exp, a.mul - b.mul};
+  return {o.encryptions * f,     o.decryptions * f, o.exponentiations * f,
+          o.multiplications * f, o.inversions * f,  o.small_exponentiations * f};
 }
 
 class ComplexityTest : public ::testing::Test {
@@ -76,10 +76,10 @@ TEST_F(ComplexityTest, SmIsConstantPerInstance) {
   // Setup encryptions scale with batch too, but both linearly: second
   // difference over batch sizes 2, 4, 6 must vanish.
   Ops o2 = run(2), o4 = run(4), o6 = run(6);
-  EXPECT_EQ(Diff(o6, o4), Diff(o4, o2)) << "SM ops not linear in batch size";
+  EXPECT_EQ(o6 - o4, o4 - o2) << "SM ops not linear in batch size";
   // And per instance: 4x the batch = 4x the ops.
   Ops o8 = run(8);
-  EXPECT_EQ(Scale(Diff(o4, o2), 3), Diff(o8, o2));
+  EXPECT_EQ(Scale(o4 - o2, 3), o8 - o2);
 }
 
 TEST_F(ComplexityTest, SborIsOneSmPlusConstant) {
@@ -91,11 +91,8 @@ TEST_F(ComplexityTest, SborIsOneSmPlusConstant) {
   Ops sm = Measure([&] {
     ASSERT_TRUE(SecureMultiplyBatch(harness_.ctx(), as, bs).ok());
   });
-  // SBOR = SM + 2 homomorphic multiplications (Add, Sub incl. Negate exp).
-  EXPECT_EQ(sbor.enc, sm.enc);
-  EXPECT_EQ(sbor.dec, sm.dec);
-  EXPECT_EQ(sbor.exp, sm.exp + 3);  // Negate inside Sub is one exp per item
-  EXPECT_GT(sbor.mul, sm.mul);
+  // SBOR = SM + per item one Add and one Sub (an inversion and an Add).
+  EXPECT_EQ(sbor, sm + Scale(Ops{0, 0, 0, 2, 1, 0}, 3));
 }
 
 TEST_F(ComplexityTest, SsedIsLinearInM) {
@@ -107,7 +104,7 @@ TEST_F(ComplexityTest, SsedIsLinearInM) {
     });
   };
   Ops o2 = run(2), o4 = run(4), o6 = run(6);
-  EXPECT_EQ(Diff(o6, o4), Diff(o4, o2)) << "SSED ops not linear in m";
+  EXPECT_EQ(o6 - o4, o4 - o2) << "SSED ops not linear in m";
 }
 
 TEST_F(ComplexityTest, SbdIsLinearInL) {
@@ -119,7 +116,7 @@ TEST_F(ComplexityTest, SbdIsLinearInL) {
         [&] { ASSERT_TRUE(BitDecompose(harness_.ctx(), z, opts).ok()); });
   };
   Ops o4 = run(4), o8 = run(8), o12 = run(12);
-  EXPECT_EQ(Diff(o12, o8), Diff(o8, o4)) << "SBD ops not linear in l";
+  EXPECT_EQ(o12 - o8, o8 - o4) << "SBD ops not linear in l";
 }
 
 TEST_F(ComplexityTest, SminIsLinearInL) {
@@ -130,7 +127,7 @@ TEST_F(ComplexityTest, SminIsLinearInL) {
         [&] { ASSERT_TRUE(SecureMin(harness_.ctx(), u, v).ok()); });
   };
   Ops o4 = run(4), o8 = run(8), o12 = run(12);
-  EXPECT_EQ(Diff(o12, o8), Diff(o8, o4)) << "SMIN ops not linear in l";
+  EXPECT_EQ(o12 - o8, o8 - o4) << "SMIN ops not linear in l";
 }
 
 TEST_F(ComplexityTest, SminNCostsExactlyNMinusOneSmins) {
@@ -145,7 +142,9 @@ TEST_F(ComplexityTest, SminNCostsExactlyNMinusOneSmins) {
   };
   // n-1 SMINs: 4 for n=5, 8 for n=9 -> exactly double the ops.
   Ops o5 = run(5), o9 = run(9);
-  Ops per_smin = {o5.enc / 4, o5.dec / 4, o5.exp / 4, o5.mul / 4};
+  Ops per_smin = {o5.encryptions / 4,     o5.decryptions / 4,
+                  o5.exponentiations / 4, o5.multiplications / 4,
+                  o5.inversions / 4,      o5.small_exponentiations / 4};
   EXPECT_EQ(Scale(per_smin, 4), o5) << "SMIN_n(5) not a multiple of 4 SMINs";
   EXPECT_EQ(Scale(per_smin, 8), o9) << "SMIN_n(9) != 8 SMINs worth of ops";
 }
@@ -174,7 +173,11 @@ TEST_F(ComplexityTest, PaperBoundForSkNNm) {
       (l + m + static_cast<double>(k) * l * std::log2(double(n)));
   const double kConstant = 40.0;  // generous per-unit constant
   EXPECT_LT(static_cast<double>(result->ops.encryptions), kConstant * bound);
-  EXPECT_LT(static_cast<double>(result->ops.exponentiations),
+  // The paper's "exponentiations" are every ciphertext power: full-width,
+  // small and inverse alike.
+  EXPECT_LT(static_cast<double>(result->ops.exponentiations +
+                                result->ops.small_exponentiations +
+                                result->ops.inversions),
             kConstant * bound);
 }
 
@@ -246,11 +249,10 @@ TEST_F(ComplexityTest, SkNNbOpsLinearInN) {
     request.protocol = QueryProtocol::kBasic;
     auto result = (*engine)->Query(request);
     EXPECT_TRUE(result.ok());
-    return Ops{result->ops.encryptions, result->ops.decryptions,
-               result->ops.exponentiations, result->ops.multiplications};
+    return result->ops;
   };
   Ops o4 = run(4), o8 = run(8), o12 = run(12);
-  EXPECT_EQ(Diff(o12, o8), Diff(o8, o4)) << "SkNN_b ops not linear in n";
+  EXPECT_EQ(o12 - o8, o8 - o4) << "SkNN_b ops not linear in n";
 }
 
 TEST_F(ComplexityTest, SkNNmOpsLinearInK) {
@@ -268,14 +270,88 @@ TEST_F(ComplexityTest, SkNNmOpsLinearInK) {
     request.protocol = QueryProtocol::kSecure;
     auto result = (*engine)->Query(request);
     EXPECT_TRUE(result.ok());
-    return Ops{result->ops.encryptions, result->ops.decryptions,
-               result->ops.exponentiations, result->ops.multiplications};
+    return result->ops;
   };
   // Iterations 2..k are identical in op count; iteration k skips the SBOR
   // update, so compare k in {2,3,4}: second difference of the *middle*
   // iterations vanishes.
   Ops o2 = run(2), o3 = run(3), o4 = run(4);
-  EXPECT_EQ(Diff(o4, o3), Diff(o3, o2)) << "SkNN_m ops not linear in k";
+  EXPECT_EQ(o4 - o3, o3 - o2) << "SkNN_m ops not linear in k";
+}
+
+// -- Exact costs ---------------------------------------------------------
+// Measured over both clouds (the harness runs C2 in process). The per-item
+// vectors below are the reference the protocol code is held to.
+
+TEST_F(ComplexityTest, ExactPrimitiveCosts) {
+  // SM, per instance: C1 encrypts ra, rb and Epk(-ra*rb) and blinds (2 mul);
+  // C2 decrypts two values and encrypts h; C1 strips the cross terms with
+  // two full-width powers and three Adds.
+  const Ops kSmPerInstance{4, 2, 2, 5, 0, 0};
+  auto as = EncryptMany(3, 2);
+  auto bs = EncryptMany(3, 2);
+  Ops sm = Measure([&] {
+    ASSERT_TRUE(SecureMultiplyBatch(harness_.ctx(), as, bs).ok());
+  });
+  EXPECT_EQ(sm, Scale(kSmPerInstance, 3)) << "SM";
+
+  // SBD, per bit: mask encryption and blinding Add, C2's decrypt and parity
+  // encryption, Epk(b), the parity negation (on both branches) and its Add,
+  // the Sub of the LSB and the full-width halving. SVR adds one
+  // recomposition (l small powers, l-1 Adds), one Sub, the full-width
+  // gamma power and C2's decryption.
+  const unsigned l = 6;
+  const Ops kSbdPerBit{3, 1, 1, 3, 2, 0};
+  const Ops kSvr{0, 1, 1, l, 1, l};
+  SbdOptions opts;
+  opts.l = l;
+  Ciphertext z = harness_.pk().Encrypt(BigInt(37), rng_);
+  Ops sbd = Measure([&] {
+    ASSERT_TRUE(BitDecompose(harness_.ctx(), z, opts).ok());
+  });
+  EXPECT_EQ(sbd, Scale(kSbdPerBit, l) + kSvr) << "SBD";
+
+  // SMIN, per bit: one SM, then W and the difference (two Subs), Gamma
+  // (encrypt + Add), G = u + v - 2uv (two Adds, a squaring, a Sub), H
+  // (full-width power + Add), Phi (encrypt + Add), L (full-width power +
+  // Add); C2 decrypts L' and rerandomizes M'; C1 unblinds with a full-width
+  // power and two Adds. Per block: Epk(0) seeding H and C2's Epk(alpha).
+  const Ops kSminPerBit = kSmPerInstance + Ops{3, 1, 3, 11, 3, 0};
+  const Ops kSminPerBlock{2, 0, 0, 0, 0, 0};
+  auto u = harness_.EncryptBits(9, l);
+  auto v = harness_.EncryptBits(22, l);
+  Ops smin = Measure([&] {
+    ASSERT_TRUE(SecureMin(harness_.ctx(), u, v).ok());
+  });
+  EXPECT_EQ(smin, Scale(kSminPerBit, l) + kSminPerBlock) << "SMIN";
+}
+
+TEST_F(ComplexityTest, ExactQueryCostsAtBenchmarkShapes) {
+  // The served benchmark's secure_serial (n 16, m 6, l 6, k 2) and
+  // basic_scan (n 500, m 6, k 5) shapes. Op counts do not depend on the key
+  // size or the data, so 256-bit keys reproduce the K = 1024 counts; the
+  // first four fields are what the benchmark's "counts" lines print.
+  auto run = [](std::size_t n, unsigned attr_bits, unsigned k,
+                QueryProtocol protocol) {
+    PlainTable table =
+        GenerateUniformTable(n, 6, (int64_t{1} << attr_bits) - 1, 3);
+    SknnEngine::Options opts;
+    opts.key_bits = 256;
+    opts.attr_bits = attr_bits;
+    auto engine = SknnEngine::Create(table, opts);
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    QueryRequest request;
+    request.record = {1, 2, 3, 0, 1, 2};
+    request.k = k;
+    request.protocol = protocol;
+    auto result = (*engine)->Query(request);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result->ops;
+  };
+  EXPECT_EQ(run(16, 2, 2, QueryProtocol::kSecure),
+            (Ops{4638, 2074, 2722, 9076, 1502, 470}));
+  EXPECT_EQ(run(500, 5, 5, QueryProtocol::kBasic),
+            (Ops{12030, 6530, 6000, 20530, 3000, 0}));
 }
 
 }  // namespace

@@ -104,6 +104,54 @@ TEST(PaillierTest, HomomorphicNegateAndSub) {
   EXPECT_EQ(keys.sk.DecryptSigned(keys.pk.Sub(ca, cb)), BigInt(-3));
 }
 
+TEST(PaillierTest, NegationByInversionMatchesPowModForm) {
+  // Negate is c^-1 mod N^2; the c^(N-1) / c^(N-2) powers it replaced stay
+  // the reference for the plaintext it must carry.
+  for (unsigned bits : {256u, 512u, 1024u}) {
+    PaillierKeyPair keys = MakeKeys(bits, 40 + bits);
+    const PaillierPublicKey& pk = keys.pk;
+    const BigInt& n = pk.n();
+    Random rng(41 + bits);
+    for (int i = 0; i < 4; ++i) {
+      BigInt a = i == 0 ? BigInt(0) : rng.Below(n);
+      BigInt b = rng.Below(n);
+      Ciphertext ca = pk.Encrypt(a, rng);
+      Ciphertext cb = pk.Encrypt(b, rng);
+      Ciphertext pow_neg(ca.value().PowMod(n - BigInt(1), pk.n_squared()));
+      Ciphertext pow_neg2(ca.value().PowMod(n - BigInt(2), pk.n_squared()));
+
+      Ciphertext neg = pk.Negate(ca);
+      Ciphertext neg2 = pk.Negate(pk.Add(ca, ca));
+      Ciphertext diff = pk.Sub(cb, ca);
+      EXPECT_EQ(keys.sk.Decrypt(neg), keys.sk.Decrypt(pow_neg)) << bits;
+      EXPECT_EQ(keys.sk.Decrypt(neg), BigInt(0).SubMod(a, n)) << bits;
+      EXPECT_EQ(keys.sk.Decrypt(neg2), keys.sk.Decrypt(pow_neg2)) << bits;
+      EXPECT_EQ(keys.sk.Decrypt(diff), b.SubMod(a, n)) << bits;
+      for (const Ciphertext& c : {neg, neg2, diff}) {
+        EXPECT_TRUE(pk.IsValidCiphertext(c)) << bits;
+      }
+    }
+  }
+}
+
+TEST(PaillierTest, NegateOfNonUnitFallsBackToPowModValue) {
+  // A faulty peer can hand C1 a value that is not a unit mod N^2 (zero, or
+  // a multiple of p). Negate must not abort; it yields c^(N-1), exactly the
+  // value the power form always produced for such input.
+  PaillierKeyPair keys = MakeKeys(256, 44);
+  const PaillierPublicKey& pk = keys.pk;
+  const BigInt& n = pk.n();
+  for (const BigInt& v : {BigInt(0), keys.sk.p(), keys.sk.p() * BigInt(7)}) {
+    Ciphertext c(v);
+    OpCounters::Reset();
+    Ciphertext neg = pk.Negate(c);
+    EXPECT_EQ(neg.value(), v.PowMod(n - BigInt(1), pk.n_squared())) << v;
+    OpSnapshot snap = OpCounters::Snapshot();
+    EXPECT_EQ(snap.inversions, 0u);
+    EXPECT_EQ(snap.exponentiations, 1u);
+  }
+}
+
 TEST(PaillierTest, RerandomizePreservesPlaintext) {
   PaillierKeyPair keys = MakeKeys(256, 22);
   Random rng(23);
@@ -169,11 +217,16 @@ TEST(PaillierTest, OpCountersTrackOperations) {
   Ciphertext b = keys.pk.Encrypt(BigInt(2), rng);
   Ciphertext sum = keys.pk.Add(a, b);
   Ciphertext scaled = keys.pk.MulScalar(sum, BigInt(3));
+  Ciphertext wide = keys.pk.MulScalar(scaled, rng.Below(keys.pk.n()) +
+                                                  BigInt::PowerOfTwo(64));
+  keys.pk.Negate(wide);
   keys.sk.Decrypt(scaled);
   OpSnapshot snap = OpCounters::Snapshot();
   EXPECT_EQ(snap.encryptions, 2u);
   EXPECT_EQ(snap.multiplications, 1u);
-  EXPECT_EQ(snap.exponentiations, 1u);
+  EXPECT_EQ(snap.small_exponentiations, 1u);  // the scalar 3
+  EXPECT_EQ(snap.exponentiations, 1u);        // the full-width scalar
+  EXPECT_EQ(snap.inversions, 1u);             // Negate
   EXPECT_EQ(snap.decryptions, 1u);
 }
 

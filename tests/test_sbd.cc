@@ -3,6 +3,7 @@
 // and batched decomposition.
 #include <gtest/gtest.h>
 
+#include "crypto/op_counters.h"
 #include "proto/sbd.h"
 #include "tests/proto_test_util.h"
 
@@ -115,6 +116,29 @@ TEST_F(SbdTest, WithoutVerifyAdversarialMasksCorruptBits) {
     recovered = (recovered << 1) | v.ToUint64().value();
   }
   EXPECT_NE(recovered, 200u);
+}
+
+TEST_F(SbdTest, OpCountsDoNotDependOnMaskParity) {
+  // C1 negates the returned parity on both branches of the mask-parity
+  // select, so a pass costs the same whether every mask is odd (the
+  // adversarial hook: r = N-1) or the masks are uniform. Without SVR the
+  // poisoned pass is not retried, so both runs do exactly one pass.
+  const auto& pk = harness_.pk();
+  std::vector<Ciphertext> enc;
+  for (int64_t z : {3, 77, 140, 255}) enc.push_back(pk.Encrypt(BigInt(z), rng_));
+  auto measure = [&](bool all_odd) {
+    SbdOptions opts;
+    opts.l = 8;
+    opts.verify = false;
+    opts.adversarial_masks_for_test = all_odd;
+    OpSnapshot before = OpCounters::Snapshot();
+    EXPECT_TRUE(BitDecomposeBatch(harness_.ctx(), enc, opts).ok());
+    return OpCounters::Snapshot() - before;
+  };
+  OpSnapshot odd = measure(true);
+  OpSnapshot uniform = measure(false);
+  EXPECT_EQ(odd, uniform) << odd.ToString() << " vs " << uniform.ToString();
+  EXPECT_EQ(odd.inversions, 2u * 8u * enc.size());
 }
 
 TEST_F(SbdTest, RejectsZeroWidth) {
