@@ -24,7 +24,11 @@
 #         is a full-width modexp standing in for Negate, which is one
 #         modular inversion (docs/CRYPTO.md, "Negation by inversion"). A
 #         justified call carries a `// negate-exempt: <why>` marker on its
-#         first line or the line above.
+#         first line or the line above;
+#       - no dead or unhandled C1<->C2 opcodes: every `Op` enumerator in
+#         src/proto/opcodes.h except kError has a `case Op::kX` in
+#         src/proto/c2_service.cc and is named as `Op::kX` somewhere else
+#         under src/, so each wire form C2 answers is one C1 can send.
 #  2. clang-tidy over compile_commands.json (runs when clang-tidy is on
 #     PATH — the lint CI job; skipped with a notice otherwise). Checks are
 #     curated in .clang-tidy.
@@ -145,6 +149,28 @@ if [ -n "${negation_by_exp}" ]; then
   fail "negation by an N-1 / N-2 exponent in src/proto/ or src/core/ — use \
 Negate/Sub (one modular inversion, crypto/paillier.h) or mark the call \
 '// negate-exempt: <why>'" "${negation_by_exp}"
+fi
+
+# --- 1g. Dead or unhandled C1<->C2 opcodes --------------------------------
+# An opcode C2 does not dispatch fails every query that sends it; an opcode
+# nothing else names is a second wire form kept alive only by C2's switch.
+# kError is the RPC server's reply type, never a request.
+bad_opcodes=""
+for opcode in $(grep -oE '^  k[A-Za-z0-9]+ = ' src/proto/opcodes.h \
+                  | sed -E 's/^  (k[A-Za-z0-9]+) = /\1/'); do
+  [ "${opcode}" = "kError" ] && continue
+  if ! grep -q "case Op::${opcode}:" src/proto/c2_service.cc; then
+    bad_opcodes="${bad_opcodes}${opcode}: no case in src/proto/c2_service.cc"$'\n'
+  fi
+  if ! grep -rlw --include='*.h' --include='*.cc' "Op::${opcode}" src \
+      | grep -qvE '^src/proto/(opcodes\.h|c2_service\.cc)$'; then
+    bad_opcodes="${bad_opcodes}${opcode}: never sent (no Op::${opcode} in src/ \
+outside opcodes.h and c2_service.cc)"$'\n'
+  fi
+done
+if [ -n "${bad_opcodes}" ]; then
+  fail "dead or unhandled C1<->C2 opcodes in src/proto/opcodes.h — give \
+each one a C2 handler and a sender, or delete it" "${bad_opcodes}"
 fi
 
 # --- 2. clang-tidy ---------------------------------------------------------

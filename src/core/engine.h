@@ -51,7 +51,8 @@ class SknnEngine {
     /// C1-side worker threads (1 = the paper's serial variant). Also bounds
     /// how many submitted queries execute concurrently.
     std::size_t c1_threads = 1;
-    /// C2-side worker threads.
+    /// C2-side worker threads. Each batched protocol stage is one message
+    /// carrying the whole vector; C2 fans its instances out across these.
     std::size_t c2_threads = 1;
     /// Simulated one-way latency of the C1 <-> C2 link (default zero =
     /// colocated clouds). Models the WAN between the two cloud providers of
@@ -63,13 +64,6 @@ class SknnEngine {
     bool record_c2_views = false;
     /// Run SBD's verification round inside SkNN_m.
     bool verify_sbd = true;
-    /// Use the vectorized wire opcodes: each batched protocol stage ships
-    /// ONE message carrying the whole vector (C2 fans the instances out
-    /// across c2_threads), and SkNN_m fuses the record-extraction and
-    /// distance-clamp SM stages into one round. Results are identical to
-    /// the scalar (paper-literal) protocol; only message count and wall
-    /// time change. Off = the reference scalar transcript.
-    bool vectorized_rounds = true;
     /// Back both clouds' encryptions with precomputed-randomizer pools
     /// (crypto/paillier.h): the r^N modexp moves off the critical path into
     /// background workers that soak up C1<->C2 round-trip stalls. Disable

@@ -4,9 +4,7 @@
 
 #include "common/stopwatch.h"
 #include "proto/permutation.h"
-#include "proto/sbor.h"
 #include "proto/sm.h"
-#include "proto/smax.h"
 #include "proto/smin.h"
 #include "proto/ssed.h"
 
@@ -148,24 +146,22 @@ Result<TopKExtraction> ExtractTopK(
     // V_i against every attribute, then column-wise homomorphic sums.
     //
     // Step 3(e) clamps every bit of the winner to 1 via SBOR of V_i — and
-    // SBOR's only round trip is itself an SM of exactly the same V_i. In
-    // vectorized mode both stages therefore ride ONE fused SM round
-    // (operands [V x attributes | V x bits]); C2 sees the same blinded
-    // products either way, so only the message count changes. Scalar mode
-    // keeps the paper-literal two rounds. The clamp is skipped after the
-    // last iteration (the paper loops it unconditionally; the update only
+    // SBOR's only round trip is itself an SM of exactly the same V_i. Both
+    // stages therefore ride ONE fused SM round (operands [V x attributes |
+    // V x bits]): C2 sees the same blinded products as two separate rounds
+    // would show it, in one message. The clamp is skipped after the last
+    // iteration (the paper loops it unconditionally; the update only
     // matters for the next SMIN_n).
     std::vector<Ciphertext> v = pi.ApplyInverse(u);
     const bool clamp = s < k;
-    const bool fuse = ctx.vectorized() && clamp;
-    const std::size_t sm_count = n * m + (fuse ? n * l_aug : 0);
+    const std::size_t sm_count = n * m + (clamp ? n * l_aug : 0);
     std::vector<Ciphertext> sm_left(sm_count), sm_right(sm_count);
     ctx.ForEach(n, [&](std::size_t i) {
       for (std::size_t j = 0; j < m; ++j) {
         sm_left[i * m + j] = v[i];
         sm_right[i * m + j] = records[i][j];
       }
-      if (fuse) {
+      if (clamp) {
         for (std::size_t g = 0; g < l_aug; ++g) {
           sm_left[n * m + i * l_aug + g] = v[i];
           sm_right[n * m + i * l_aug + g] = bits[i][g];
@@ -188,31 +184,14 @@ Result<TopKExtraction> ExtractTopK(
 
     if (!clamp) break;
     phase.Reset();
-    if (fuse) {
-      // Finish the SBOR locally from the fused products:
-      // v OR bit = v + bit - v*bit.
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          bits[i][g] = pk.Sub(pk.Add(v[i], bits[i][g]),
-                              v_prime[n * m + i * l_aug + g]);
-        }
-      });
-    } else {
-      std::vector<Ciphertext> or_left(n * l_aug), or_right(n * l_aug);
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          or_left[i * l_aug + g] = v[i];
-          or_right[i * l_aug + g] = bits[i][g];
-        }
-      });
-      SKNN_ASSIGN_OR_RETURN(std::vector<Ciphertext> ored,
-                            SecureBitOrBatch(ctx, or_left, or_right));
-      ctx.ForEach(n, [&](std::size_t i) {
-        for (std::size_t g = 0; g < l_aug; ++g) {
-          bits[i][g] = ored[i * l_aug + g];
-        }
-      });
-    }
+    // Finish the SBOR locally from the fused products:
+    // v OR bit = v + bit - v*bit.
+    ctx.ForEach(n, [&](std::size_t i) {
+      for (std::size_t g = 0; g < l_aug; ++g) {
+        bits[i][g] = pk.Sub(pk.Add(v[i], bits[i][g]),
+                            v_prime[n * m + i * l_aug + g]);
+      }
+    });
     bd.update_seconds += phase.ElapsedSeconds();
   }
   return out;

@@ -12,6 +12,8 @@
 //       obliviously: Epk(t'_s,j) = prod_i SM(V_i, Epk(t_{i,j}));
 //   (e) the winner's bits are clamped to all-ones via SBOR with V_i so it
 //       can never win again — without C1 learning which record it was.
+//       SBOR's SM rides in step (d)'s SM message, so (d) and (e) together
+//       cost one round trip.
 //
 // Deterministic tie-break (the departure from the paper's literal Section
 // 4.2, which lets C2 pick among tied minima at random): every comparison

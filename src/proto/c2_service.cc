@@ -58,20 +58,14 @@ Result<Message> C2Service::Dispatch(const Message& request) {
       resp.type = OpCode(Op::kPing);
       return resp;
     }
-    case Op::kSmBatch:
-      return HandleSmBatch(request, /*parallel=*/false);
     case Op::kSmVec:
-      return HandleSmBatch(request, /*parallel=*/true);
-    case Op::kLsbBatch:
-      return HandleLsbBatch(request, /*parallel=*/false);
+      return HandleSmBatch(request);
     case Op::kLsbVec:
-      return HandleLsbBatch(request, /*parallel=*/true);
+      return HandleLsbBatch(request);
     case Op::kSvrCheckBatch:
       return HandleSvrCheckBatch(request);
-    case Op::kSminPhase2Batch:
-      return HandleSminPhase2Batch(request, /*parallel=*/false);
     case Op::kSminPhase2Vec:
-      return HandleSminPhase2Batch(request, /*parallel=*/true);
+      return HandleSminPhase2Batch(request);
     case Op::kMinPointerBatch:
       return HandleMinPointerBatch(request);
     case Op::kTopKIndices:
@@ -195,15 +189,15 @@ void C2Service::RecordView(Op op, const BigInt& plaintext) {
 // SM, Algorithm 1 step 2: h_i = D(a'_i) * D(b'_i) mod N, returned encrypted.
 // The whole message runs through the batched crypto API: one DecryptMany
 // over both operand columns, the cheap modmuls in the middle, one
-// EncryptMany for the response — the vectorized form fans both batches
-// across the intra-message pool. Views are still recorded in instance order.
-Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
+// EncryptMany for the response, both fanned across the intra-message pool.
+// Views are still recorded in instance order.
+Result<Message> C2Service::HandleSmBatch(const Message& req) {
   if (req.ints.size() % 2 != 0) {
-    return Status::ProtocolError("kSmBatch: odd number of ciphertexts");
+    return Status::ProtocolError("kSmVec: odd number of ciphertexts");
   }
   const std::size_t count = req.ints.size() / 2;
   const PaillierPublicKey& pk = sk_.public_key();
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain =
       sk_.DecryptMany(CiphertextsAt(req, 0, req.ints.size()), fan);
   std::vector<BigInt> hs(count);
@@ -216,17 +210,17 @@ Result<Message> C2Service::HandleSmBatch(const Message& req, bool parallel) {
   resp.ints.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     resp.ints[i] = enc[i].value();
-    RecordView(Op::kSmBatch, plain[2 * i]);
-    RecordView(Op::kSmBatch, plain[2 * i + 1]);
+    RecordView(Op::kSmVec, plain[2 * i]);
+    RecordView(Op::kSmVec, plain[2 * i + 1]);
   }
   return resp;
 }
 
 // SBD Encrypted-LSB step: return a fresh encryption of parity(D(Y_i)).
-Result<Message> C2Service::HandleLsbBatch(const Message& req, bool parallel) {
+Result<Message> C2Service::HandleLsbBatch(const Message& req) {
   const PaillierPublicKey& pk = sk_.public_key();
   const std::size_t count = req.ints.size();
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   std::vector<BigInt> plain =
       sk_.DecryptMany(CiphertextsAt(req, 0, count), fan);
   std::vector<BigInt> parities(count);
@@ -239,7 +233,7 @@ Result<Message> C2Service::HandleLsbBatch(const Message& req, bool parallel) {
   resp.ints.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     resp.ints[i] = enc[i].value();
-    RecordView(Op::kLsbBatch, plain[i]);
+    RecordView(Op::kLsbVec, plain[i]);
   }
   return resp;
 }
@@ -270,40 +264,42 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
 // rerandomizes EncodeDeterministic(alpha) ((1 + alpha*N) * r^N) — value
 // for value what Encrypt would have produced, with identical op counts
 // (Rerandomize and Encrypt both cost/count one encryption).
-Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
-                                                 bool parallel) {
+Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
   if (req.aux.size() != 8) {
-    return Status::ProtocolError("kSminPhase2Batch: bad aux header");
+    return Status::ProtocolError("kSminPhase2Vec: bad aux header");
   }
-  uint32_t l = req.AuxU32At(0);
-  uint32_t count = req.AuxU32At(4);
-  if (l == 0 || req.ints.size() != static_cast<std::size_t>(2 * l) * count) {
-    return Status::ProtocolError("kSminPhase2Batch: bad block geometry");
+  const std::size_t l = req.AuxU32At(0);
+  const std::size_t count = req.AuxU32At(4);
+  // Divide rather than multiply: 2 * l * count can wrap for a hostile
+  // header, and a wrapped check would let the reserve below throw.
+  if (l == 0 || req.ints.size() % (2 * l) != 0 ||
+      req.ints.size() / (2 * l) != count) {
+    return Status::ProtocolError("kSminPhase2Vec: bad block geometry");
   }
   const PaillierPublicKey& pk = sk_.public_key();
   const BigInt one(1);
-  ThreadPool* fan = FanPool(parallel);
+  ThreadPool* fan = intra_pool_.get();
   // Decrypt the permuted L' vectors of every block in one batch.
   std::vector<Ciphertext> l_cts;
-  l_cts.reserve(static_cast<std::size_t>(l) * count);
+  l_cts.reserve(l * count);
   for (std::size_t b = 0; b < count; ++b) {
     const std::size_t base = b * 2 * l;
-    for (uint32_t i = 0; i < l; ++i) {
+    for (std::size_t i = 0; i < l; ++i) {
       l_cts.emplace_back(req.ints[base + l + i]);
     }
   }
   std::vector<BigInt> plain = sk_.DecryptMany(l_cts, fan);
   // alpha_b = 1 iff some decrypted entry of block b equals 1.
   const Ciphertext zero_seed = pk.EncodeDeterministic(BigInt(0));
-  std::vector<Ciphertext> carriers(static_cast<std::size_t>(l + 1) * count);
+  std::vector<Ciphertext> carriers((l + 1) * count);
   for (std::size_t b = 0; b < count; ++b) {
     bool alpha = false;
-    for (uint32_t i = 0; i < l; ++i) {
+    for (std::size_t i = 0; i < l; ++i) {
       if (plain[b * l + i] == one) alpha = true;
     }
     const std::size_t base = b * 2 * l;
     const std::size_t out_base = b * (l + 1);
-    for (uint32_t i = 0; i < l; ++i) {
+    for (std::size_t i = 0; i < l; ++i) {
       carriers[out_base + i] =
           alpha ? Ciphertext(req.ints[base + i]) : zero_seed;
     }
@@ -316,7 +312,7 @@ Result<Message> C2Service::HandleSminPhase2Batch(const Message& req,
   for (std::size_t i = 0; i < randomized.size(); ++i) {
     resp.ints[i] = randomized[i].value();
   }
-  for (const BigInt& m : plain) RecordView(Op::kSminPhase2Batch, m);
+  for (const BigInt& m : plain) RecordView(Op::kSminPhase2Vec, m);
   return resp;
 }
 

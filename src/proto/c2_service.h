@@ -58,10 +58,9 @@ class C2Service {
   OpSnapshot TakeQueryOps(uint64_t query_id);
 
   /// \brief Spins up `threads` workers that fan the independent instances of
-  /// one vectorized request (kSmVec / kLsbVec / kSminPhase2Vec /
-  /// kMinPointerBatch) out in parallel — the C2 half of the within-query
-  /// record parallelism. Without this, vectorized messages are processed
-  /// serially (still correct, just one core).
+  /// one batched request (every opcode that decrypts) out in parallel — the
+  /// C2 half of the within-query record parallelism. Without this, each
+  /// message is processed serially (still correct, just one core).
   void EnableIntraMessageParallelism(std::size_t threads);
 
   /// \brief Creates (and owns) a randomizer pool of `capacity` r^N values
@@ -91,18 +90,10 @@ class C2Service {
   Result<Message> Dispatch(const Message& request);
   void RecordQueryOps(uint64_t query_id, const OpSnapshot& ops);
 
-  /// \brief The fan-out pool the batched crypto calls of one request use:
-  /// the intra-message pool when the opcode's vectorized form asked for
-  /// parallelism (and one exists), else null (serial — the scalar wire
-  /// forms keep their one-chunk-per-C1-worker concurrency model).
-  ThreadPool* FanPool(bool parallel) {
-    return parallel ? intra_pool_.get() : nullptr;
-  }
-
-  Result<Message> HandleSmBatch(const Message& req, bool parallel);
-  Result<Message> HandleLsbBatch(const Message& req, bool parallel);
+  Result<Message> HandleSmBatch(const Message& req);
+  Result<Message> HandleLsbBatch(const Message& req);
   Result<Message> HandleSvrCheckBatch(const Message& req);
-  Result<Message> HandleSminPhase2Batch(const Message& req, bool parallel);
+  Result<Message> HandleSminPhase2Batch(const Message& req);
   Result<Message> HandleMinPointerBatch(const Message& req);
   Result<Message> HandleTopKIndices(const Message& req);
   Result<Message> HandleMaskedDecryptToBob(const Message& req);

@@ -35,8 +35,8 @@ Result<std::vector<Ciphertext>> SecureMultiplyBatch(
   // Step 2: C2 decrypts, multiplies, re-encrypts h = (a+ra)(b+rb) mod N.
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> h,
-      ctx.CallChunked(Op::kSmBatch, std::move(request), /*in_arity=*/2,
-                      /*out_arity=*/1));
+      ctx.CallBatch(Op::kSmVec, std::move(request), /*in_arity=*/2,
+                    /*out_arity=*/1));
 
   // Step 3: strip the cross terms:
   //   Epk(ab) = h' * Epk(a)^{N-rb} * Epk(b)^{N-ra} * Epk(N - ra*rb).

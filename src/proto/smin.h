@@ -18,6 +18,10 @@
 //
 // SMIN_n runs a bottom-up tournament of SMINs (ceil(log2 n) rounds); all
 // pairs of a round ride in the same batched round trips.
+//
+// Maximum needs no protocol of its own: max(u, v) = NOT min(NOT u, NOT v),
+// where NOT (ComplementBits) flips every bit locally. The k-farthest query
+// runs SMIN_n over complemented distance bits (core/sknn_m.h).
 #ifndef SKNN_PROTO_SMIN_H_
 #define SKNN_PROTO_SMIN_H_
 
@@ -52,6 +56,11 @@ Result<EncryptedBits> SecureMinN(ProtoContext& ctx,
 /// for the tournament design choice (see bench_ablation).
 Result<EncryptedBits> SecureMinNLinear(ProtoContext& ctx,
                                        const std::vector<EncryptedBits>& ds);
+
+/// \brief Homomorphic bitwise complement of an encrypted bit vector:
+/// out_i = Epk(1 - b_i). Local (no interaction).
+EncryptedBits ComplementBits(const PaillierPublicKey& pk,
+                             const EncryptedBits& bits);
 
 }  // namespace sknn
 

@@ -33,11 +33,9 @@ namespace sknn {
 class ShardWorker {
  public:
   struct Options {
-    /// Worker threads for this shard's local homomorphic fan-out; also the
-    /// chunk fan-out for scalar-mode RPC rounds.
+    /// Worker threads for this shard's local homomorphic fan-out. Each
+    /// protocol stage is still one message to C2.
     std::size_t threads = 1;
-    /// Mirrors SknnEngine::Options — one message per protocol stage.
-    bool vectorized_rounds = true;
     bool verify_sbd = true;
     /// Precomputed-randomizer pool for this worker's encryptions.
     bool randomizer_pool = true;

@@ -182,8 +182,7 @@ TEST_F(ComplexityTest, PaperBoundForSkNNm) {
 }
 
 TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
-  // PR 2 regression: with the vectorized wire opcodes, one SkNN_m query
-  // exchanges O(l + k*l) C1->C2 messages — NOT O(n*l). The exact count,
+  // Whole-stage messages: one SkNN_m query exchanges O(l + k*l) C1->C2 messages — NOT O(n*l). The exact count,
   // from the per-query QueryMeter (frames_to_c2 == frames_from_c2, each
   // exchange is one round trip):
   //   SSED            1                  (one fused SM stage)
@@ -232,6 +231,55 @@ TEST_F(ComplexityTest, SkNNmRoundCountIsIndependentOfNPerStage) {
   // Doubling n must cost at most one extra tournament level (2 rounds) per
   // iteration — the signature of O(k log n), not O(n).
   EXPECT_LE(frames_for(16, 2) - frames_for(8, 2), 2u * 2u);
+}
+
+TEST(StageFrameTest, EachBatchedStageIsOneExchangeAtFourC1Threads) {
+  // A C1 thread pool fans out local homomorphic work only: every batched
+  // stage is still exactly one exchange with C2, however many instances it
+  // carries.
+  TwoPartyHarness harness(256, 4040, /*c1_threads=*/4, /*c2_threads=*/2);
+  QueryMeter meter;
+  ProtoContext ctx(&harness.pk(), harness.ctx().client(), harness.ctx().pool(),
+                   /*query_id=*/0, &meter);
+  auto exchanges = [&](const std::function<void()>& fn) {
+    const uint64_t before = meter.traffic().frames_a_to_b;
+    fn();
+    EXPECT_EQ(meter.traffic().frames_a_to_b, meter.traffic().frames_b_to_a);
+    return meter.traffic().frames_a_to_b - before;
+  };
+  Random rng(17);
+  const PaillierPublicKey& pk = harness.pk();
+
+  std::vector<Ciphertext> as, bs;
+  for (int i = 0; i < 8; ++i) {
+    as.push_back(pk.Encrypt(BigInt(i), rng));
+    bs.push_back(pk.Encrypt(BigInt(i + 1), rng));
+  }
+  const uint64_t sm = exchanges(
+      [&] { ASSERT_TRUE(SecureMultiplyBatch(ctx, as, bs).ok()); });
+  EXPECT_EQ(sm, 1u) << "SM of 8 instances";
+
+  const unsigned l = 6;
+  std::vector<Ciphertext> zs;
+  for (int i = 0; i < 8; ++i) zs.push_back(pk.Encrypt(BigInt(5 * i), rng));
+  for (bool verify : {true, false}) {
+    SbdOptions opts;
+    opts.l = l;
+    opts.verify = verify;
+    const uint64_t sbd = exchanges(
+        [&] { ASSERT_TRUE(BitDecomposeBatch(ctx, zs, opts).ok()); });
+    EXPECT_EQ(sbd, verify ? l + 1 : l)
+        << "SBD of 8 instances, verify=" << verify;
+  }
+
+  std::vector<EncryptedBits> us, vs;
+  for (uint64_t i = 0; i < 4; ++i) {
+    us.push_back(harness.EncryptBits(i, l));
+    vs.push_back(harness.EncryptBits(63 - i, l));
+  }
+  const uint64_t smin = exchanges(
+      [&] { ASSERT_TRUE(SecureMinBatch(ctx, us, vs).ok()); });
+  EXPECT_EQ(smin, 2u) << "SMIN of 4 pairs";
 }
 
 TEST_F(ComplexityTest, SkNNbOpsLinearInN) {

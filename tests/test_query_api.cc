@@ -152,56 +152,6 @@ TEST(QueryBatchTest, PerQueryInstrumentationIsIsolatedUnderConcurrency) {
   }
 }
 
-TEST(QueryBatchTest, VectorizedRoundsMatchScalarProtocolBitwise) {
-  // The vectorized wire opcodes (kSmVec / kLsbVec / kSminPhase2Vec, plus the
-  // fused extract+clamp SM round) must return exactly the records the
-  // paper-literal scalar transcript returns, at both thread counts. The
-  // distinct-distance table makes every protocol's answer deterministic, so
-  // the comparison is bitwise.
-  PlainTable table = DistinctDistanceTable(8);
-  std::vector<QueryRequest> requests = MixedWorkload();
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SknnEngine::Options scalar_opts;
-    scalar_opts.key_bits = 256;
-    scalar_opts.attr_bits = 3;
-    scalar_opts.c1_threads = threads;
-    scalar_opts.c2_threads = threads;
-    scalar_opts.vectorized_rounds = false;
-    scalar_opts.randomizer_pool = false;
-    auto scalar_engine = SknnEngine::Create(table, scalar_opts);
-    ASSERT_TRUE(scalar_engine.ok()) << scalar_engine.status();
-
-    SknnEngine::Options vec_opts = scalar_opts;
-    vec_opts.vectorized_rounds = true;
-    vec_opts.randomizer_pool = true;
-    auto vec_engine = SknnEngine::Create(table, vec_opts);
-    ASSERT_TRUE(vec_engine.ok()) << vec_engine.status();
-
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      auto scalar = (*scalar_engine)->Query(requests[i]);
-      auto vec = (*vec_engine)->Query(requests[i]);
-      ASSERT_TRUE(scalar.ok()) << scalar.status();
-      ASSERT_TRUE(vec.ok()) << vec.status();
-      EXPECT_EQ(vec->records, scalar->records)
-          << "threads=" << threads << " request " << i;
-      // Identical protocol work, different wire packing: the Paillier op
-      // accounting is mode-independent.
-      EXPECT_EQ(vec->ops.encryptions, scalar->ops.encryptions) << i;
-      EXPECT_EQ(vec->ops.decryptions, scalar->ops.decryptions) << i;
-      EXPECT_EQ(vec->ops.exponentiations, scalar->ops.exponentiations) << i;
-      EXPECT_EQ(vec->ops.multiplications, scalar->ops.multiplications) << i;
-      // The vectorized form never sends more messages than scalar mode, and
-      // at c1_threads > 1 it sends strictly fewer (no per-worker chunking).
-      EXPECT_LE(vec->traffic.total_frames(), scalar->traffic.total_frames())
-          << i;
-      if (threads > 1 && requests[i].protocol != QueryProtocol::kBasic) {
-        EXPECT_LT(vec->traffic.total_frames(), scalar->traffic.total_frames())
-            << i;
-      }
-    }
-  }
-}
-
 TEST(QueryBatchTest, ShortRandomizersMatchFullWidthBitwise) {
   // The short-exponent randomizer default (docs/CRYPTO.md) changes only how
   // r^N is minted for the pool, never what the protocols compute: the

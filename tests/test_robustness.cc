@@ -1,5 +1,5 @@
 // Robustness tests: C2Service under malformed or adversarial requests, and
-// the chunked-call plumbing's edge cases. A semi-honest C2 still receives
+// the batch-call plumbing's edge cases. A semi-honest C2 still receives
 // requests over a real link — bad geometry must produce a clean protocol
 // error, never a crash or a silent wrong answer.
 #include <gtest/gtest.h>
@@ -29,21 +29,54 @@ TEST_F(RobustnessTest, UnknownOpcodeIsRejected) {
   ExpectError(static_cast<Op>(0x7777), {});
 }
 
+TEST_F(RobustnessTest, RetiredScalarOpcodesAreRejected) {
+  // Types 2, 3 and 5 were per-C1-worker chunk forms of SM, LSB and SMIN
+  // phase 2; only the whole-stage forms 10, 11 and 12 remain.
+  const BigInt ct = harness_.pk().Encrypt(BigInt(1), rng_).value();
+  for (uint16_t type : {2, 3, 5}) {
+    ExpectError(static_cast<Op>(type), {ct, ct});
+  }
+}
+
 TEST_F(RobustnessTest, SmBatchOddOperandCount) {
-  ExpectError(Op::kSmBatch, {harness_.pk().Encrypt(BigInt(1), rng_).value()});
+  ExpectError(Op::kSmVec, {harness_.pk().Encrypt(BigInt(1), rng_).value()});
 }
 
 TEST_F(RobustnessTest, SminPhase2BadAux) {
   const auto& pk = harness_.pk();
   // Missing aux entirely.
-  ExpectError(Op::kSminPhase2Batch, {pk.Encrypt(BigInt(1), rng_).value()});
+  ExpectError(Op::kSminPhase2Vec, {pk.Encrypt(BigInt(1), rng_).value()});
   // Aux present but geometry inconsistent: l=4, count=1 needs 8 ints.
   std::vector<uint8_t> aux = {4, 0, 0, 0, 1, 0, 0, 0};
-  ExpectError(Op::kSminPhase2Batch, {pk.Encrypt(BigInt(1), rng_).value()},
+  ExpectError(Op::kSminPhase2Vec, {pk.Encrypt(BigInt(1), rng_).value()},
               aux);
   // l = 0.
   std::vector<uint8_t> zero_l = {0, 0, 0, 0, 1, 0, 0, 0};
-  ExpectError(Op::kSminPhase2Batch, {}, zero_l);
+  ExpectError(Op::kSminPhase2Vec, {}, zero_l);
+}
+
+TEST_F(RobustnessTest, SminPhase2GeometryCannotWrap) {
+  // 2 * l * count must not wrap: with l = 0x80000001 a 32-bit 2 * l is 2,
+  // which would admit 2 ints and then size a 2^31-entry decrypt batch. The
+  // frame must be refused — by C2Service::Handle itself and over a live
+  // RpcServer, which must keep serving afterwards.
+  const BigInt ct = harness_.pk().Encrypt(BigInt(1), rng_).value();
+  const std::vector<uint8_t> wraps_to_two = {0x01, 0, 0, 0x80, 1, 0, 0, 0};
+  const std::vector<uint8_t> wraps_to_zero = {0, 0, 0, 0x80, 1, 0, 0, 0};
+
+  Message direct;
+  direct.type = OpCode(Op::kSminPhase2Vec);
+  direct.ints = {ct, ct};
+  direct.aux = wraps_to_two;
+  auto resp = harness_.c2().Handle(direct);
+  EXPECT_FALSE(resp.ok());
+  EXPECT_EQ(resp.status().code(), StatusCode::kProtocolError);
+
+  ExpectError(Op::kSminPhase2Vec, {ct, ct}, wraps_to_two);
+  ExpectError(Op::kSminPhase2Vec, {}, wraps_to_zero);
+  auto ping = harness_.ctx().Call(Op::kPing, {});
+  ASSERT_TRUE(ping.ok()) << ping.status();
+  EXPECT_EQ(ping->type, OpCode(Op::kPing));
 }
 
 TEST_F(RobustnessTest, MinPointerWithNoZeroEntry) {
@@ -87,17 +120,17 @@ TEST_F(RobustnessTest, PingRoundTrip) {
   EXPECT_EQ(resp->type, OpCode(Op::kPing));
 }
 
-TEST_F(RobustnessTest, CallChunkedRejectsBadArity) {
+TEST_F(RobustnessTest, CallBatchRejectsBadArity) {
   std::vector<BigInt> three = {BigInt(1), BigInt(2), BigInt(3)};
-  auto r = harness_.ctx().CallChunked(Op::kSmBatch, three, 2, 1);
+  auto r = harness_.ctx().CallBatch(Op::kSmVec, three, 2, 1);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  auto zero = harness_.ctx().CallChunked(Op::kSmBatch, three, 0, 1);
+  auto zero = harness_.ctx().CallBatch(Op::kSmVec, three, 0, 1);
   EXPECT_FALSE(zero.ok());
 }
 
-TEST_F(RobustnessTest, CallChunkedEmptyInputShortCircuits) {
-  auto r = harness_.ctx().CallChunked(Op::kSmBatch, {}, 2, 1);
+TEST_F(RobustnessTest, CallBatchEmptyInputShortCircuits) {
+  auto r = harness_.ctx().CallBatch(Op::kSmVec, {}, 2, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -108,7 +141,7 @@ TEST_F(RobustnessTest, GarbageCiphertextsFailCleanly) {
   // must return, and the protocol layer never crashes.
   std::vector<BigInt> garbage = {BigInt(0), harness_.pk().n_squared(),
                                  BigInt(12345), BigInt(1)};
-  auto resp = harness_.ctx().Call(Op::kLsbBatch, garbage);
+  auto resp = harness_.ctx().Call(Op::kLsbVec, garbage);
   // Accept either a clean error or a response of the right shape.
   if (resp.ok()) {
     EXPECT_EQ(resp->ints.size(), garbage.size());

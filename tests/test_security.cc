@@ -39,7 +39,7 @@ TEST(SecurityTest, SmBlindingIsFreshPerInvocation) {
     auto result = SecureMultiply(harness.ctx(), ea, eb);
     ASSERT_TRUE(result.ok());
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op == Op::kSmBatch) {
+      if (view.op == Op::kSmVec) {
         seen.insert(view.plaintext.ToString());
       }
     }
@@ -63,7 +63,7 @@ TEST(SecurityTest, SminAlphaIsARandomCoin) {
     ASSERT_TRUE(result.ok());
     bool saw_one = false;
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op == Op::kSminPhase2Batch && view.plaintext == BigInt(1)) {
+      if (view.op == Op::kSminPhase2Vec && view.plaintext == BigInt(1)) {
         saw_one = true;
       }
     }
@@ -84,7 +84,7 @@ TEST(SecurityTest, SminViewsAreRerandomizedAcrossRuns) {
                             harness.EncryptBits(11, 4));
     ASSERT_TRUE(result.ok());
     for (const auto& view : harness.c2().TakeViews()) {
-      if (view.op != Op::kSminPhase2Batch) continue;
+      if (view.op != Op::kSminPhase2Vec) continue;
       ++total;
       l_views.insert(view.plaintext.ToString());
     }
