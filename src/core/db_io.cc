@@ -3,6 +3,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "net/message.h"
+
 namespace sknn {
 namespace {
 
@@ -10,19 +12,18 @@ constexpr char kMagic[8] = {'S', 'K', 'N', 'N', 'D', 'B', '0', '1'};
 constexpr char kManifestMagic[8] = {'S', 'K', 'N', 'N', 'S', 'H', '0', '1'};
 constexpr char kClusterMagic[8] = {'S', 'K', 'N', 'N', 'C', 'L', '0', '1'};
 
+// Little-endian u32 words through the wire cursor (net/message.h).
 void PutU32(std::ofstream& out, uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>(v >> (8 * i));
-  out.write(bytes, 4);
+  std::vector<uint8_t> bytes;
+  WireWriter(&bytes).U32(v);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 bool GetU32(std::ifstream& in, uint32_t* v) {
-  char bytes[4];
-  if (!in.read(bytes, 4)) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
+  uint8_t bytes[4];
+  if (!in.read(reinterpret_cast<char*>(bytes), sizeof(bytes))) return false;
+  WireReader(bytes, sizeof(bytes)).U32(*v);
   return true;
 }
 

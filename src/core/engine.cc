@@ -327,11 +327,12 @@ SknnEngine::RandomizerPoolStats SknnEngine::randomizer_pool_stats() {
     Message req;
     req.type = OpCode(Op::kFetchPoolStats);
     Result<Message> resp = client_->Call(std::move(req));
-    if (resp.ok() && resp->aux.size() >= 32) {
-      stats.c2_hits = resp->AuxU64At(0);
-      stats.c2_misses = resp->AuxU64At(8);
-      stats.c2_stock = resp->AuxU64At(16);
-      stats.c2_capacity = resp->AuxU64At(24);
+    PoolStatsReply c2;
+    if (resp.ok() && ReadFields(resp->aux, &c2, "kFetchPoolStats").ok()) {
+      stats.c2_hits = c2.hits;
+      stats.c2_misses = c2.misses;
+      stats.c2_stock = c2.stock;
+      stats.c2_capacity = c2.capacity;
     }
   }
   return stats;
@@ -509,9 +510,11 @@ Result<std::vector<BigInt>> SknnEngine::TakeC2Outbox(ProtoContext& ctx,
 OpSnapshot SknnEngine::TakeC2QueryOps(ProtoContext& ctx, uint64_t query_id) {
   if (c2_ != nullptr) return c2_->TakeQueryOps(query_id);
   auto resp = ctx.Call(Op::kFetchQueryOps, {});
-  if (!resp.ok() || resp->aux.size() < 32) return {};
-  return {resp->AuxU64At(0), resp->AuxU64At(8), resp->AuxU64At(16),
-          resp->AuxU64At(24)};
+  OpSnapshot ops;
+  if (!resp.ok() || !ReadFields(resp->aux, &ops, "kFetchQueryOps").ok()) {
+    return {};
+  }
+  return ops;
 }
 
 Result<QueryResponse> SknnEngine::ExecuteQuery(const QueryRequest& request) {

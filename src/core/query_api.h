@@ -90,6 +90,8 @@ struct QueryRequest {
   /// eligible to be inserted. In-process engines have no cache and ignore
   /// this. Appended after probe_clusters (aggregate-init order).
   bool no_cache = false;
+
+  bool operator==(const QueryRequest&) const = default;
 };
 
 /// \brief One shard's share of a sharded query (core/shard_coordinator.h):
@@ -118,6 +120,8 @@ struct ShardQueryStats {
   /// Records this shard holds — with `candidates` and `pruned`, the numbers
   /// behind the "per-query work proportional to the candidate set" claim.
   uint32_t shard_records = 0;
+
+  bool operator==(const ShardQueryStats&) const = default;
 };
 
 /// \brief Everything Bob ends up with after one request, plus the
@@ -163,6 +167,8 @@ struct QueryResponse {
   /// (the differential proof tests/test_qos.cc runs). Empty from in-process
   /// engines and for cache-bypassed (no_cache) requests.
   std::vector<std::vector<uint8_t>> encrypted_records;
+
+  bool operator==(const QueryResponse&) const = default;
 };
 
 }  // namespace sknn

@@ -110,6 +110,7 @@ struct ShardCandidates {
   std::vector<uint32_t> global_indices;
 
   std::size_t count() const { return records.size(); }
+  bool operator==(const ShardCandidates&) const = default;
 };
 
 /// \brief Runs the distance + local-top-k stages of `protocol` over one

@@ -3,13 +3,6 @@
 #include "proto/ssed.h"
 
 namespace sknn {
-namespace {
-
-void AppendU32(std::vector<uint8_t>& aux, uint32_t v) {
-  for (int i = 0; i < 4; ++i) aux.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-}  // namespace
 
 Result<CloudQueryOutput> MaskAndShipToBob(
     ProtoContext& ctx, const std::vector<std::vector<Ciphertext>>& chosen) {
@@ -45,21 +38,18 @@ Result<std::vector<uint32_t>> SecureTopKIndices(
   dist_values.reserve(n);
   for (const auto& c : dists) dist_values.push_back(c.value());
   std::vector<uint8_t> aux;
-  AppendU32(aux, k);
+  WriteFields(&aux, uint32_t{k});
   SKNN_ASSIGN_OR_RETURN(
       Message resp,
       ctx.Call(Op::kTopKIndices, std::move(dist_values), std::move(aux)));
-  if (resp.aux.size() != std::size_t{k} * 4) {
-    return Status::ProtocolError("SecureTopKIndices: bad top-k response");
-  }
   std::vector<uint32_t> indices;
-  indices.reserve(k);
-  for (unsigned j = 0; j < k; ++j) {
-    uint32_t idx = resp.AuxU32At(std::size_t{j} * 4);
+  WireReader reader(resp.aux);
+  reader.Array(indices, k);
+  SKNN_RETURN_NOT_OK(reader.Finish("SecureTopKIndices: top-k response"));
+  for (uint32_t idx : indices) {
     if (idx >= n) {
       return Status::ProtocolError("SecureTopKIndices: index out of range");
     }
-    indices.push_back(idx);
   }
   return indices;
 }

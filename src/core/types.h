@@ -45,6 +45,7 @@ struct SkNNmBreakdown {
     return ssed_seconds + sbd_seconds + sminn_seconds + extract_seconds +
            update_seconds + finalize_seconds;
   }
+  bool operator==(const SkNNmBreakdown&) const = default;
 };
 
 }  // namespace sknn

@@ -45,6 +45,18 @@ struct OpSnapshot {
   std::string ToString() const;
 };
 
+/// \brief The op words that cross the wire (kQueryResult, kShardCandidates,
+/// kFetchQueryOps), in wire order (net/message.h). inversions and
+/// small_exponentiations are not on the wire yet: carrying them is one line
+/// each here plus a protocol revision bump.
+template <class Io>
+void Fields(Io& io, OpSnapshot& ops) {
+  io.U64(ops.encryptions);
+  io.U64(ops.decryptions);
+  io.U64(ops.exponentiations);
+  io.U64(ops.multiplications);
+}
+
 /// \brief Thread-safe accumulator for attributing operations to one scope
 /// (one query, one RPC) while other scopes run concurrently on other
 /// threads. Installed per-thread via ScopedOpSink; many threads may share

@@ -32,8 +32,18 @@ struct TrafficStats {
     return {frames_a_to_b + o.frames_a_to_b, bytes_a_to_b + o.bytes_a_to_b,
             frames_b_to_a + o.frames_b_to_a, bytes_b_to_a + o.bytes_b_to_a};
   }
+  bool operator==(const TrafficStats&) const = default;
   std::string ToString() const;
 };
+
+/// \brief Wire order of the traffic counters (net/message.h).
+template <class Io>
+void Fields(Io& io, TrafficStats& traffic) {
+  io.U64(traffic.frames_a_to_b);
+  io.U64(traffic.bytes_a_to_b);
+  io.U64(traffic.frames_b_to_a);
+  io.U64(traffic.bytes_b_to_a);
+}
 
 class ChannelEndpoint;
 

@@ -1,65 +1,6 @@
 #include "net/message.h"
 
 namespace sknn {
-namespace {
-
-void PutU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-bool GetU16(const std::vector<uint8_t>& in, std::size_t& pos, uint16_t* v) {
-  if (pos + 2 > in.size()) return false;
-  *v = static_cast<uint16_t>(in[pos]) | (static_cast<uint16_t>(in[pos + 1]) << 8);
-  pos += 2;
-  return true;
-}
-
-bool GetU32(const std::vector<uint8_t>& in, std::size_t& pos, uint32_t* v) {
-  if (pos + 4 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) *v |= static_cast<uint32_t>(in[pos + i]) << (8 * i);
-  pos += 4;
-  return true;
-}
-
-bool GetU64(const std::vector<uint8_t>& in, std::size_t& pos, uint64_t* v) {
-  if (pos + 8 > in.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) *v |= static_cast<uint64_t>(in[pos + i]) << (8 * i);
-  pos += 8;
-  return true;
-}
-
-}  // namespace
-
-void Message::AppendAuxU32(uint32_t v) { PutU32(aux, v); }
-
-uint32_t Message::AuxU32At(std::size_t offset) const {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(aux[offset + i]) << (8 * i);
-  }
-  return v;
-}
-
-void Message::AppendAuxU64(uint64_t v) { PutU64(aux, v); }
-
-uint64_t Message::AuxU64At(std::size_t offset) const {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(aux[offset + i]) << (8 * i);
-  }
-  return v;
-}
 
 std::size_t Message::WireSize() const {
   std::size_t size = 2 + 8 + 8 + 4 + 4 + aux.size();
@@ -72,49 +13,98 @@ std::size_t Message::WireSize() const {
 std::vector<uint8_t> WireCodec::Encode(const Message& msg) {
   std::vector<uint8_t> out;
   out.reserve(msg.WireSize());
-  PutU16(out, msg.type);
-  PutU64(out, msg.correlation_id);
-  PutU64(out, msg.query_id);
-  PutU32(out, static_cast<uint32_t>(msg.ints.size()));
-  for (const auto& v : msg.ints) {
-    std::vector<uint8_t> bytes = v.ToBytes();
-    PutU32(out, static_cast<uint32_t>(bytes.size()));
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
-  PutU32(out, static_cast<uint32_t>(msg.aux.size()));
-  out.insert(out.end(), msg.aux.begin(), msg.aux.end());
+  WriteFields(&out, msg);
   return out;
 }
 
 Result<Message> WireCodec::Decode(const std::vector<uint8_t>& bytes) {
   Message msg;
-  std::size_t pos = 0;
-  uint32_t n_ints = 0, aux_len = 0;
-  if (!GetU16(bytes, pos, &msg.type) ||
-      !GetU64(bytes, pos, &msg.correlation_id) ||
-      !GetU64(bytes, pos, &msg.query_id) ||
-      !GetU32(bytes, pos, &n_ints)) {
-    return Status::ProtocolError("WireCodec: truncated header");
-  }
-  msg.ints.reserve(n_ints);
-  for (uint32_t i = 0; i < n_ints; ++i) {
-    uint32_t len = 0;
-    if (!GetU32(bytes, pos, &len) || pos + len > bytes.size()) {
-      return Status::ProtocolError("WireCodec: truncated integer");
-    }
-    std::vector<uint8_t> chunk(bytes.begin() + pos, bytes.begin() + pos + len);
-    msg.ints.push_back(BigInt::FromBytes(chunk));
-    pos += len;
-  }
-  if (!GetU32(bytes, pos, &aux_len) || pos + aux_len > bytes.size()) {
-    return Status::ProtocolError("WireCodec: truncated aux");
-  }
-  msg.aux.assign(bytes.begin() + pos, bytes.begin() + pos + aux_len);
-  pos += aux_len;
-  if (pos != bytes.size()) {
-    return Status::ProtocolError("WireCodec: trailing bytes");
-  }
+  SKNN_RETURN_NOT_OK(ReadFields(bytes, &msg, "WireCodec"));
   return msg;
+}
+
+Status WireReader::Finish(std::string_view what) const {
+  if (error_ == nullptr && pos_ == size_) return Status::OK();
+  return Status::ProtocolError(std::string(what) + ": " +
+                               (error_ != nullptr ? error_ : "trailing bytes"));
+}
+
+uint64_t WireReader::Get(std::size_t width) {
+  if (!ok() || size_ - pos_ < width) {
+    Fail("truncated");
+    return 0;
+  }
+  uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
+  }
+  pos_ += width;
+  return v;
+}
+
+const uint8_t* WireReader::Prefixed(std::size_t max_len, std::size_t* len) {
+  *len = Get(4);
+  if (!ok()) return nullptr;
+  if (*len > max_len) {
+    Fail("length over its cap");
+    return nullptr;
+  }
+  if (size_ - pos_ < *len) {
+    Fail("truncated");
+    return nullptr;
+  }
+  const uint8_t* p = data_ + pos_;
+  pos_ += *len;
+  return p;
+}
+
+bool WireReader::Plausible(uint64_t count, std::size_t min_item_size) {
+  if (!ok()) return false;
+  // Every item occupies at least min_item_size bytes (zero-size items are
+  // still bounded by kMaxWireDim at their count's source).
+  if (min_item_size != 0 && count > (size_ - pos_) / min_item_size) {
+    Fail("count implausible");
+    return false;
+  }
+  return true;
+}
+
+void WireReader::Big(BigInt& v) {
+  std::size_t len = 0;
+  if (const uint8_t* p = Prefixed(kNoWireCap, &len)) {
+    v = BigInt::FromBytes(std::vector<uint8_t>(p, p + len));
+  }
+}
+
+namespace {
+
+// kQueryError / kShardError body.
+struct StatusBody {
+  uint32_t code = 0;
+  std::string text;
+};
+
+template <class Io>
+void Fields(Io& io, StatusBody& body) {
+  io.U32(body.code);
+  io.Rest(body.text);
+}
+
+}  // namespace
+
+Message EncodeStatusFrame(uint16_t type, const Status& status) {
+  return EncodeFrame(type, StatusBody{static_cast<uint32_t>(status.code()),
+                                      status.message()});
+}
+
+Status DecodeStatusFrame(const Message& msg, uint16_t type,
+                         StatusCode max_code, std::string_view what) {
+  SKNN_ASSIGN_OR_RETURN(StatusBody body,
+                        DecodeFrame<StatusBody>(msg, type, what));
+  if (body.code == 0 || body.code > static_cast<uint32_t>(max_code)) {
+    return Status::ProtocolError(std::string(what) + ": unknown status code");
+  }
+  return Status(static_cast<StatusCode>(body.code), std::move(body.text));
 }
 
 }  // namespace sknn

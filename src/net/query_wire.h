@@ -72,7 +72,8 @@ constexpr uint32_t kProtocolRevision = 6;
 /// clients would reject the widened kQueryResult (their exact-size check
 /// fails on the cache tail), so the hello gate turns them away with a typed
 /// error instead of letting them decode garbage. Revision 1 clients cannot
-/// hello at all; their first kQuery gets the typed missing-hello error.
+/// hello at all, and their kQuery frame lacks the table name: it gets a
+/// typed ProtocolError (the frame is decoded before the hello check).
 constexpr uint32_t kMinSupportedRevision = 6;
 
 /// \brief Feature bits advertised in kHello/kHelloAck. A client MUST ignore
@@ -119,8 +120,7 @@ enum class FrontendOp : uint16_t {
   /// result cache); attributes as two's-complement little-endian u64
   /// (requests are validated server-side, so out-of-domain values must
   /// survive the wire intact to be rejected with a proper Status). The
-  /// table suffix is absent in revision-1 frames; decoding treats that as
-  /// the empty (sole-table) name so the frame shape itself stays readable.
+  /// table name is mandatory (empty = the sole table).
   /// Revision 3 appends an optional [deadline_ms:u32] after the table: the
   /// query's end-to-end budget in milliseconds, 0/absent = unbounded.
   /// Revision 5 may append [index_mode:u32][probe_clusters:u32] after the
@@ -252,6 +252,8 @@ struct HelloInfo {
   uint32_t features = kSupportedFeatures;
   /// Only meaningful in the ack direction.
   uint32_t num_tables = 0;
+
+  bool operator==(const HelloInfo&) const = default;
 };
 
 /// \brief One table's metadata as kTableInfoResult reports it.
@@ -273,6 +275,8 @@ struct TableInfoReply {
   /// Clustered-index geometry: 0 = exact-only table, otherwise the number
   /// of clusters (= the admissible probe_clusters upper bound).
   uint32_t num_clusters = 0;
+
+  bool operator==(const TableInfoReply&) const = default;
 };
 
 /// \brief One table's admission counters inside kServiceStatsResult.
@@ -306,6 +310,8 @@ struct TableStatsEntry {
   uint64_t cache_evictions = 0;
   uint64_t cache_entries = 0;
   uint64_t cache_bytes = 0;
+
+  bool operator==(const TableStatsEntry&) const = default;
 };
 
 /// \brief One API key's serving counters inside kServiceStatsResult
@@ -325,6 +331,8 @@ struct ApiKeyStatsEntry {
   uint64_t remaining = 0;
   /// The key's admission weight (multiplies its fair share).
   uint32_t weight = 1;
+
+  bool operator==(const ApiKeyStatsEntry&) const = default;
 };
 
 /// \brief Service-wide counters as kServiceStatsResult reports them.
@@ -337,6 +345,8 @@ struct ServiceStatsReply {
   /// the per-key counters when it does (empty otherwise).
   bool auth_enabled = false;
   std::vector<ApiKeyStatsEntry> keys;
+
+  bool operator==(const ServiceStatsReply&) const = default;
 };
 
 /// \brief One shard replica's liveness inside kHealthResult (mirrors
@@ -349,6 +359,8 @@ struct ReplicaHealthEntry {
   uint64_t failovers = 0;
   /// Seconds since the replica last answered; negative = never.
   double last_ok_age_seconds = -1;
+
+  bool operator==(const ReplicaHealthEntry&) const = default;
 };
 
 /// \brief One table's replica set inside kHealthResult. Empty `replicas`
@@ -356,11 +368,15 @@ struct ReplicaHealthEntry {
 struct TableHealthEntry {
   std::string name;
   std::vector<ReplicaHealthEntry> replicas;
+
+  bool operator==(const TableHealthEntry&) const = default;
 };
 
 /// \brief Everything kHealthResult carries.
 struct HealthReply {
   std::vector<TableHealthEntry> tables;
+
+  bool operator==(const HealthReply&) const = default;
 };
 
 /// \brief kReloadTable's payload: which table, and (optionally) a fresh
@@ -369,6 +385,8 @@ struct HealthReply {
 struct ReloadTableRequest {
   std::string table;
   std::string spec;
+
+  bool operator==(const ReloadTableRequest&) const = default;
 };
 
 /// \brief What happened to the table a kTableChanged note names.
@@ -381,6 +399,8 @@ enum class TableChangeKind : uint32_t {
 struct TableChangedNote {
   std::string table;
   TableChangeKind kind = TableChangeKind::kReloaded;
+
+  bool operator==(const TableChangedNote&) const = default;
 };
 
 Message EncodeQueryRequest(const QueryRequest& request);

@@ -1,5 +1,6 @@
 #include "net/rpc.h"
 
+#include <exception>
 #include <string>
 
 #include "common/logging.h"
@@ -204,7 +205,16 @@ void RpcServer::HandleFrame(std::vector<uint8_t> frame) {
     return;
   }
   uint64_t cid = request->correlation_id;
-  Result<Message> response = handler_(*request);
+  // A throwing handler must not take the server down: the exception becomes
+  // this request's error frame and the link keeps serving.
+  Result<Message> response = [&]() -> Result<Message> {
+    try {
+      return handler_(*request);
+    } catch (const std::exception& e) {
+      return Status::Internal(std::string("RpcServer: handler threw: ") +
+                              e.what());
+    }
+  }();
   Message out;
   if (response.ok()) {
     out = std::move(*response);

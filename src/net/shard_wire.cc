@@ -1,21 +1,66 @@
 #include "net/shard_wire.h"
 
-#include <bit>
 #include <string>
 
 namespace sknn {
+
+// One field list per frame body; the same list drives Encode* and Decode*.
+
+template <class Io>
+void Fields(Io& io, ShardGeometry& geometry) {
+  io.U32(geometry.shard);
+  io.Enum(geometry.manifest.scheme, ShardScheme::kByCluster);
+  io.U32(geometry.manifest.num_shards);
+  io.U32(geometry.manifest.total_records);
+  io.U32(geometry.num_attributes);
+  io.U32(geometry.distance_bits);
+  io.U32(geometry.shard_records);
+}
+
+// kShardQuery's aux; Epk(Q) rides the ints and the query id the header.
+template <class Io>
+void Fields(Io& io, ShardQueryFrame& frame) {
+  io.U32(frame.k);
+  io.Enum(frame.protocol, QueryProtocol::kFarthest);
+  if (io.Tail(frame.deadline_ms != 0)) io.U32(frame.deadline_ms);
+}
+
 namespace {
+
+// Shape of the candidate ciphertexts in kShardCandidates' ints: count
+// candidates of bits_per bits (secure) then m attributes, then one distance
+// each (basic).
+struct CandidateGeometry {
+  uint32_t count = 0;
+  uint32_t bits_per = 0;
+  uint32_t m = 0;
+  bool has_distances = false;
+};
+
+// kShardCandidates' aux: the geometry, the basic protocol's global indices
+// (one per candidate, no count prefix), then the stage instrumentation.
+template <class Io>
+void CandidateFields(Io& io, CandidateGeometry& geometry,
+                     ShardCandidatesFrame& frame) {
+  io.U32(geometry.count);
+  io.U32(geometry.bits_per);
+  io.U32(geometry.m);
+  io.U32(geometry.has_distances);
+  io.Array(frame.candidates.global_indices,
+           geometry.has_distances ? geometry.count : 0);
+  io.F64(frame.seconds);
+  Fields(io, frame.traffic);
+  Fields(io, frame.ops);
+}
+
+template <class T>
+Result<T> Decode(const Message& msg, ShardOp op, const char* name) {
+  return DecodeFrame<T>(msg, ShardOpCode(op),
+                        std::string("shard frame ") + name);
+}
 
 Status BadFrame(const char* what) {
   return Status::ProtocolError(std::string("shard frame: ") + what);
-}
-
-void AppendF64(Message& msg, double v) {
-  msg.AppendAuxU64(std::bit_cast<uint64_t>(v));
-}
-
-double F64At(const Message& msg, std::size_t offset) {
-  return std::bit_cast<double>(msg.AuxU64At(offset));
 }
 
 }  // namespace
@@ -27,71 +72,30 @@ Message EncodeShardPing() {
 }
 
 Message EncodeShardGeometry(const ShardGeometry& geometry) {
-  Message msg;
-  msg.type = ShardOpCode(ShardOp::kShardPing);
-  msg.AppendAuxU32(geometry.shard);
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.scheme));
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.num_shards));
-  msg.AppendAuxU32(static_cast<uint32_t>(geometry.manifest.total_records));
-  msg.AppendAuxU32(geometry.num_attributes);
-  msg.AppendAuxU32(geometry.distance_bits);
-  msg.AppendAuxU32(geometry.shard_records);
-  return msg;
+  return EncodeFrame(ShardOpCode(ShardOp::kShardPing), geometry);
 }
 
 Result<ShardGeometry> DecodeShardGeometry(const Message& msg) {
-  if (msg.type != ShardOpCode(ShardOp::kShardPing)) {
-    return BadFrame("not a kShardPing response");
-  }
   // Coordinator and workers deploy as a unit (same build), so the geometry
-  // frame carries no compatibility tail: it is exactly 28 bytes.
-  if (msg.aux.size() != 28) return BadFrame("bad geometry payload");
-  ShardGeometry geometry;
-  geometry.shard = msg.AuxU32At(0);
-  const uint32_t scheme = msg.AuxU32At(4);
-  if (scheme > static_cast<uint32_t>(ShardScheme::kByCluster)) {
-    return BadFrame("unknown shard scheme");
-  }
-  geometry.manifest.scheme = static_cast<ShardScheme>(scheme);
-  geometry.manifest.num_shards = msg.AuxU32At(8);
-  geometry.manifest.total_records = msg.AuxU32At(12);
-  geometry.num_attributes = msg.AuxU32At(16);
-  geometry.distance_bits = msg.AuxU32At(20);
-  geometry.shard_records = msg.AuxU32At(24);
-  return geometry;
+  // frame carries no compatibility tail.
+  return Decode<ShardGeometry>(msg, ShardOp::kShardPing, "kShardPing");
 }
 
 Message EncodeShardQuery(const ShardQueryFrame& frame) {
-  Message msg;
-  msg.type = ShardOpCode(ShardOp::kShardQuery);
+  Message msg = EncodeFrame(ShardOpCode(ShardOp::kShardQuery), frame);
   msg.query_id = frame.query_id;
-  msg.AppendAuxU32(frame.k);
-  msg.AppendAuxU32(static_cast<uint32_t>(frame.protocol));
-  if (frame.deadline_ms != 0) msg.AppendAuxU32(frame.deadline_ms);
   msg.ints.reserve(frame.enc_query.size());
   for (const auto& c : frame.enc_query) msg.ints.push_back(c.value());
   return msg;
 }
 
 Result<ShardQueryFrame> DecodeShardQuery(const Message& msg) {
-  if (msg.type != ShardOpCode(ShardOp::kShardQuery)) {
-    return BadFrame("not a kShardQuery frame");
-  }
-  // 8 bytes = the original header; 12 = with the trailing deadline word.
-  if (msg.aux.size() != 8 && msg.aux.size() != 12) {
-    return BadFrame("bad kShardQuery header");
-  }
-  ShardQueryFrame frame;
-  frame.query_id = msg.query_id;
-  frame.k = msg.AuxU32At(0);
-  if (msg.aux.size() == 12) frame.deadline_ms = msg.AuxU32At(8);
-  const uint32_t protocol = msg.AuxU32At(4);
-  if (protocol > static_cast<uint32_t>(QueryProtocol::kFarthest)) {
-    return BadFrame("unknown protocol");
-  }
-  frame.protocol = static_cast<QueryProtocol>(protocol);
+  SKNN_ASSIGN_OR_RETURN(
+      ShardQueryFrame frame,
+      Decode<ShardQueryFrame>(msg, ShardOp::kShardQuery, "kShardQuery"));
   if (frame.k == 0) return BadFrame("k must be at least 1");
   if (msg.ints.empty()) return BadFrame("empty query vector");
+  frame.query_id = msg.query_id;
   frame.enc_query.reserve(msg.ints.size());
   for (const auto& v : msg.ints) frame.enc_query.emplace_back(v);
   return frame;
@@ -102,22 +106,14 @@ Message EncodeShardCandidates(const ShardCandidatesFrame& frame) {
   const std::size_t count = c.count();
   const std::size_t bits_per = c.bits.empty() ? 0 : c.bits[0].size();
   const std::size_t m = c.records.empty() ? 0 : c.records[0].size();
+  CandidateGeometry geometry{static_cast<uint32_t>(count),
+                             static_cast<uint32_t>(bits_per),
+                             static_cast<uint32_t>(m), !c.distances.empty()};
   Message msg;
   msg.type = ShardOpCode(ShardOp::kShardCandidates);
-  msg.AppendAuxU32(static_cast<uint32_t>(count));
-  msg.AppendAuxU32(static_cast<uint32_t>(bits_per));
-  msg.AppendAuxU32(static_cast<uint32_t>(m));
-  msg.AppendAuxU32(c.distances.empty() ? 0 : 1);
-  for (uint32_t gidx : c.global_indices) msg.AppendAuxU32(gidx);
-  AppendF64(msg, frame.seconds);
-  msg.AppendAuxU64(frame.traffic.frames_a_to_b);
-  msg.AppendAuxU64(frame.traffic.bytes_a_to_b);
-  msg.AppendAuxU64(frame.traffic.frames_b_to_a);
-  msg.AppendAuxU64(frame.traffic.bytes_b_to_a);
-  msg.AppendAuxU64(frame.ops.encryptions);
-  msg.AppendAuxU64(frame.ops.decryptions);
-  msg.AppendAuxU64(frame.ops.exponentiations);
-  msg.AppendAuxU64(frame.ops.multiplications);
+  WireWriter writer(&msg.aux);
+  // The writer only reads through the frame (see WireWriter).
+  CandidateFields(writer, geometry, const_cast<ShardCandidatesFrame&>(frame));
   msg.ints.reserve(count * (bits_per + m) + c.distances.size());
   for (const auto& bits : c.bits) {
     for (const auto& b : bits) msg.ints.push_back(b.value());
@@ -136,31 +132,26 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
   if (msg.type != ShardOpCode(ShardOp::kShardCandidates)) {
     return BadFrame("not a kShardCandidates frame");
   }
-  if (msg.aux.size() < 16) return BadFrame("truncated candidates header");
-  const std::size_t count = msg.AuxU32At(0);
-  const std::size_t bits_per = msg.AuxU32At(4);
-  const std::size_t m = msg.AuxU32At(8);
-  const bool has_distances = msg.AuxU32At(12) != 0;
-  constexpr std::size_t kMaxDim = std::size_t{1} << 20;
-  if (count == 0 || count > kMaxDim || bits_per > kMaxDim || m == 0 ||
-      m > kMaxDim) {
+  CandidateGeometry geometry;
+  ShardCandidatesFrame frame;
+  WireReader reader(msg.aux);
+  CandidateFields(reader, geometry, frame);
+  SKNN_RETURN_NOT_OK(reader.Finish("shard frame kShardCandidates"));
+  const std::size_t count = geometry.count;
+  const std::size_t bits_per = geometry.bits_per;
+  const std::size_t m = geometry.m;
+  if (count == 0 || count > kMaxWireDim || bits_per > kMaxWireDim || m == 0 ||
+      m > kMaxWireDim) {
     return BadFrame("candidates geometry implausible");
   }
-  const std::size_t index_count = has_distances ? count : 0;
-  // Header, per-candidate global indices (basic only), seconds, 4 traffic
-  // counters, 4 op counters.
-  if (msg.aux.size() != 16 + index_count * 4 + (1 + 4 + 4) * 8) {
-    return BadFrame("candidates aux geometry mismatch");
-  }
   const std::size_t want_ints =
-      count * (bits_per + m) + (has_distances ? count : 0);
+      count * (bits_per + m) + (geometry.has_distances ? count : 0);
   if (msg.ints.size() != want_ints) {
     return BadFrame("candidates payload geometry mismatch");
   }
-  if (has_distances == (bits_per > 0)) {
+  if (geometry.has_distances == (bits_per > 0)) {
     return BadFrame("candidates must carry bits XOR distances");
   }
-  ShardCandidatesFrame frame;
   ShardCandidates& c = frame.candidates;
   std::size_t at = 0;
   if (bits_per > 0) {
@@ -181,47 +172,23 @@ Result<ShardCandidatesFrame> DecodeShardCandidates(const Message& msg) {
     for (std::size_t j = 0; j < m; ++j) record.emplace_back(msg.ints[at++]);
     c.records.push_back(std::move(record));
   }
-  if (has_distances) {
+  if (geometry.has_distances) {
     c.distances.reserve(count);
-    c.global_indices.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) c.distances.emplace_back(msg.ints[at++]);
     for (std::size_t i = 0; i < count; ++i) {
-      c.global_indices.push_back(msg.AuxU32At(16 + i * 4));
+      c.distances.emplace_back(msg.ints[at++]);
     }
   }
-  const std::size_t tail = 16 + index_count * 4;
-  frame.seconds = F64At(msg, tail);
-  frame.traffic.frames_a_to_b = msg.AuxU64At(tail + 8);
-  frame.traffic.bytes_a_to_b = msg.AuxU64At(tail + 16);
-  frame.traffic.frames_b_to_a = msg.AuxU64At(tail + 24);
-  frame.traffic.bytes_b_to_a = msg.AuxU64At(tail + 32);
-  frame.ops.encryptions = msg.AuxU64At(tail + 40);
-  frame.ops.decryptions = msg.AuxU64At(tail + 48);
-  frame.ops.exponentiations = msg.AuxU64At(tail + 56);
-  frame.ops.multiplications = msg.AuxU64At(tail + 64);
   return frame;
 }
 
 Message EncodeShardError(const Status& status) {
-  Message msg;
-  msg.type = ShardOpCode(ShardOp::kShardError);
-  msg.AppendAuxU32(static_cast<uint32_t>(status.code()));
-  const std::string& text = status.message();
-  msg.aux.insert(msg.aux.end(), text.begin(), text.end());
-  return msg;
+  return EncodeStatusFrame(ShardOpCode(ShardOp::kShardError), status);
 }
 
 Status DecodeShardError(const Message& msg) {
-  if (msg.type != ShardOpCode(ShardOp::kShardError) || msg.aux.size() < 4) {
-    return BadFrame("malformed kShardError frame");
-  }
-  const uint32_t code = msg.AuxU32At(0);
-  if (code == 0 ||
-      code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {
-    return BadFrame("kShardError carries an unknown status code");
-  }
-  return Status(static_cast<StatusCode>(code),
-                std::string(msg.aux.begin() + 4, msg.aux.end()));
+  return DecodeStatusFrame(msg, ShardOpCode(ShardOp::kShardError),
+                           StatusCode::kDeadlineExceeded,
+                           "shard frame kShardError");
 }
 
 }  // namespace sknn

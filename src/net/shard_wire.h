@@ -68,6 +68,8 @@ struct ShardQueryFrame {
   /// pre-deadline coordinators never send it.
   uint32_t deadline_ms = 0;
   std::vector<Ciphertext> enc_query;
+
+  bool operator==(const ShardQueryFrame&) const = default;
 };
 
 Message EncodeShardQuery(const ShardQueryFrame& frame);
@@ -79,6 +81,8 @@ struct ShardCandidatesFrame {
   double seconds = 0;
   TrafficStats traffic;
   OpSnapshot ops;
+
+  bool operator==(const ShardCandidatesFrame&) const = default;
 };
 
 Message EncodeShardCandidates(const ShardCandidatesFrame& frame);

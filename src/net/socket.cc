@@ -6,11 +6,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
+#include "net/message.h"
+
 namespace sknn {
 namespace {
+
+constexpr std::size_t kFirstRecvChunk = std::size_t{1} << 20;
 
 // Writes the whole buffer, looping over partial writes and EINTR.
 bool WriteAll(int fd, const uint8_t* data, std::size_t len) {
@@ -57,11 +62,10 @@ bool SocketEndpoint::Send(std::vector<uint8_t> frame) {
   if (closed_.load(std::memory_order_acquire)) return false;
   // Oversized frames would wrap the length prefix.
   if (frame.size() > 0xFFFFFFFFu) return false;
-  uint8_t header[4];
-  uint32_t len = static_cast<uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
+  std::vector<uint8_t> header;
+  WireWriter(&header).U32(frame.size());
   MutexLock lock(&send_mutex_);
-  if (!WriteAll(fd_, header, 4) ||
+  if (!WriteAll(fd_, header.data(), header.size()) ||
       !WriteAll(fd_, frame.data(), frame.size())) {
     return false;
   }
@@ -73,10 +77,21 @@ bool SocketEndpoint::Recv(std::vector<uint8_t>* frame) {
   MutexLock lock(&recv_mutex_);
   uint8_t header[4];
   if (!ReadAll(fd_, header, 4)) return false;
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(header[i]) << (8 * i);
-  frame->resize(len);
-  if (len > 0 && !ReadAll(fd_, frame->data(), len)) return false;
+  std::size_t len = 0;
+  WireReader(header, sizeof(header)).U32(len);
+  // The length is the peer's claim, not yet backed by bytes: grow the buffer
+  // as bytes actually arrive (1 MiB, then doubling), so a lying header costs
+  // at most 1 MiB or twice what was really received. Exact reserves keep a
+  // completed frame's capacity at its size.
+  frame->clear();
+  while (frame->size() < len) {
+    const std::size_t done = frame->size();
+    const std::size_t target =
+        std::min(len, std::max(kFirstRecvChunk, 2 * done));
+    frame->reserve(target);
+    frame->resize(target);
+    if (!ReadAll(fd_, frame->data() + done, target - done)) return false;
+  }
   bytes_received_.fetch_add(4 + len, std::memory_order_relaxed);
   return true;
 }

@@ -85,26 +85,19 @@ Result<Message> C2Service::Dispatch(const Message& request) {
     case Op::kFetchQueryOps: {
       // A remote C1 front end collecting this query's C2-side Paillier cost
       // (the in-process engine calls TakeQueryOps directly instead).
-      OpSnapshot ops = TakeQueryOps(request.query_id);
-      Message resp;
-      resp.type = OpCode(Op::kFetchQueryOps);
-      resp.AppendAuxU64(ops.encryptions);
-      resp.AppendAuxU64(ops.decryptions);
-      resp.AppendAuxU64(ops.exponentiations);
-      resp.AppendAuxU64(ops.multiplications);
-      return resp;
+      return EncodeFrame(OpCode(Op::kFetchQueryOps),
+                         TakeQueryOps(request.query_id));
     }
     case Op::kFetchPoolStats: {
       // A C1 front end answering a kServiceStats control-plane frame:
       // report this cloud's randomizer-pool effectiveness (capacity 0 =
       // no pool attached).
-      Message resp;
-      resp.type = OpCode(Op::kFetchPoolStats);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->hits() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->misses() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->stock() : 0);
-      resp.AppendAuxU64(rand_pool_ != nullptr ? rand_pool_->capacity() : 0);
-      return resp;
+      PoolStatsReply stats;
+      if (rand_pool_ != nullptr) {
+        stats = {rand_pool_->hits(), rand_pool_->misses(),
+                 rand_pool_->stock(), rand_pool_->capacity()};
+      }
+      return EncodeFrame(OpCode(Op::kFetchPoolStats), stats);
     }
     default:
       return Status::ProtocolError("C2Service: unknown opcode " +
@@ -265,11 +258,10 @@ Result<Message> C2Service::HandleSvrCheckBatch(const Message& req) {
 // for value what Encrypt would have produced, with identical op counts
 // (Rerandomize and Encrypt both cost/count one encryption).
 Result<Message> C2Service::HandleSminPhase2Batch(const Message& req) {
-  if (req.aux.size() != 8) {
-    return Status::ProtocolError("kSminPhase2Vec: bad aux header");
-  }
-  const std::size_t l = req.AuxU32At(0);
-  const std::size_t count = req.AuxU32At(4);
+  SminPhase2Header header;
+  SKNN_RETURN_NOT_OK(ReadFields(req.aux, &header, "kSminPhase2Vec"));
+  const std::size_t l = header.l;
+  const std::size_t count = header.count;
   // Divide rather than multiply: 2 * l * count can wrap for a hostile
   // header, and a wrapped check would let the reserve below throw.
   if (l == 0 || req.ints.size() % (2 * l) != 0 ||
@@ -350,10 +342,8 @@ Result<Message> C2Service::HandleMinPointerBatch(const Message& req) {
 
 // SkNN_b step 3: decrypt all distances, return the k smallest indices.
 Result<Message> C2Service::HandleTopKIndices(const Message& req) {
-  if (req.aux.size() != 4) {
-    return Status::ProtocolError("kTopKIndices: bad aux header");
-  }
-  uint32_t k = req.AuxU32At(0);
+  uint32_t k = 0;
+  SKNN_RETURN_NOT_OK(ReadFields(req.aux, &k, "kTopKIndices"));
   if (k == 0 || k > req.ints.size()) {
     return Status::ProtocolError("kTopKIndices: k out of range");
   }
@@ -367,9 +357,10 @@ Result<Message> C2Service::HandleTopKIndices(const Message& req) {
                       int c = dist[a].Compare(dist[b]);
                       return c != 0 ? c < 0 : a < b;  // deterministic ties
                     });
+  idx.resize(k);
   Message resp;
   resp.type = OpCode(Op::kTopKIndices);
-  for (uint32_t j = 0; j < k; ++j) resp.AppendAuxU32(idx[j]);
+  WireWriter(&resp.aux).Array(idx, k);
   return resp;
 }
 

@@ -57,23 +57,22 @@ enum class Op : uint16_t {
   kLsbVec = 11,
 
   /// SMIN, Algorithm 3 step 2, one message per tournament level.
-  /// aux = [l:u32][count:u32] with l >= 1; ints = count blocks of
+  /// aux = SminPhase2Header with l >= 1; ints = count blocks of
   /// [Gamma'_1..Gamma'_l, L'_1..L'_l]; response ints = count blocks of
   /// [M'_1..M'_l, Epk(alpha)].
   kSminPhase2Vec = 12,
 
   /// Drains C2's Paillier-operation ledger entry for the tagged query:
-  /// response aux = 4 little-endian u64 (encryptions, decryptions,
-  /// exponentiations, multiplications). Issued by a C1 front end running
-  /// against a REMOTE C2 (engine CreateWithRemoteC2) after the protocol
-  /// finishes, so QueryResponse::ops stays exact across process boundaries.
+  /// response aux = the OpSnapshot wire words (crypto/op_counters.h).
+  /// Issued by a C1 front end running against a REMOTE C2 (engine
+  /// CreateWithRemoteC2) after the protocol finishes, so
+  /// QueryResponse::ops stays exact across process boundaries.
   kFetchQueryOps = 13,
 
   /// Drains nothing: reports C2's randomizer-pool effectiveness counters.
-  /// Response aux = 4 little-endian u64 (hits, misses, stock, capacity);
-  /// capacity = 0 when no pool is attached. Issued by a C1 front end
-  /// answering a kServiceStats control-plane frame, so operators see both
-  /// clouds' pools in one place.
+  /// Response aux = PoolStatsReply; capacity = 0 when no pool is
+  /// attached. Issued by a C1 front end answering a kServiceStats
+  /// control-plane frame, so operators see both clouds' pools in one place.
   kFetchPoolStats = 14,
 
   /// Error response emitted by the RPC server (status text in aux).
@@ -81,6 +80,34 @@ enum class Op : uint16_t {
 };
 
 inline uint16_t OpCode(Op op) { return static_cast<uint16_t>(op); }
+
+/// \brief kSminPhase2Vec's aux: bits per operand and blocks in the message.
+struct SminPhase2Header {
+  uint32_t l = 0;
+  uint32_t count = 0;
+};
+
+template <class Io>
+void Fields(Io& io, SminPhase2Header& header) {
+  io.U32(header.l);
+  io.U32(header.count);
+}
+
+/// \brief kFetchPoolStats' reply aux.
+struct PoolStatsReply {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t stock = 0;
+  uint64_t capacity = 0;
+};
+
+template <class Io>
+void Fields(Io& io, PoolStatsReply& stats) {
+  io.U64(stats.hits);
+  io.U64(stats.misses);
+  io.U64(stats.stock);
+  io.U64(stats.capacity);
+}
 
 }  // namespace sknn
 

@@ -8,10 +8,6 @@
 namespace sknn {
 namespace {
 
-void AppendU32(std::vector<uint8_t>& aux, uint32_t v) {
-  for (int i = 0; i < 4; ++i) aux.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 // Per-pair state C1 must remember between phase 1 and phase 3.
 struct PairState {
   bool f_u_greater_v;        // the private functionality F
@@ -112,8 +108,8 @@ Result<std::vector<EncryptedBits>> SecureMinBatch(
 
   // -- Round trip 2: C2 derives alpha per block, returns M' and Epk(alpha).
   std::vector<uint8_t> aux;
-  AppendU32(aux, static_cast<uint32_t>(l));
-  AppendU32(aux, static_cast<uint32_t>(count));
+  WriteFields(&aux, SminPhase2Header{static_cast<uint32_t>(l),
+                                     static_cast<uint32_t>(count)});
   SKNN_ASSIGN_OR_RETURN(
       std::vector<BigInt> response,
       ctx.CallBatch(Op::kSminPhase2Vec, std::move(request),

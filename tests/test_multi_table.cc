@@ -282,6 +282,27 @@ TEST(MultiTableTest, PreHelloTrafficGetsTypedStatusNeverGarbage) {
   EXPECT_GT(topology.service().stats().hello_rejected, 0u);
 }
 
+TEST(MultiTableTest, RevisionOneQueryShapeIsAProtocolError) {
+  MultiTableTopology topology;
+  auto raw = topology.NewRawLink();
+  // The revision-1 kQuery ended at the record: strip the table name
+  // ([len:u32]["alpha"]). The frame is malformed, before and after a hello.
+  Message legacy = EncodeQueryRequest(MakeRequest("alpha", {1, 0}, 1));
+  legacy.aux.resize(legacy.aux.size() - (4 + 5));
+  for (bool after_hello : {false, true}) {
+    if (after_hello) {
+      auto ack = raw->Call(EncodeHello(HelloInfo{}));
+      ASSERT_TRUE(ack.ok()) << ack.status();
+      ASSERT_EQ(ack->type, FrontendOpCode(FrontendOp::kHelloAck));
+    }
+    auto reply = raw->Call(legacy);
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    ASSERT_EQ(reply->type, FrontendOpCode(FrontendOp::kQueryError));
+    EXPECT_EQ(DecodeQueryError(*reply).code(), StatusCode::kProtocolError)
+        << (after_hello ? "after" : "before") << " the hello";
+  }
+}
+
 TEST(MultiTableTest, HelloVersionMismatchIsRejectedWithTypedStatus) {
   MultiTableTopology topology;
   auto raw = topology.NewRawLink();

@@ -12,7 +12,9 @@
 // kShardError frames that carry real status codes across the wire.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -120,6 +122,45 @@ TEST_P(RpcFailureTest, HandlerErrorStatusSurfacesToCaller) {
   EXPECT_NE(converted.status().message().find("handler exploded"),
             std::string::npos)
       << converted.status();
+}
+
+TEST_P(RpcFailureTest, HandlerExceptionBecomesErrorFrameAndLinkSurvives) {
+  EndpointPair pair = MakePair(GetParam());
+  // The first request throws out of the handler. The server must answer it
+  // with the error frame, not end, and go on serving the link.
+  std::atomic<int> calls{0};
+  RpcServer server(std::move(pair.server),
+                   [&calls](const Message& req) -> Result<Message> {
+                     if (calls.fetch_add(1) == 0) {
+                       throw std::length_error("handler blew up");
+                     }
+                     Message resp;
+                     resp.type = req.type;
+                     return resp;
+                   });
+  RpcClient client(std::move(pair.client));
+
+  // Raw RPC layer: the error frame answers the same correlation id (the
+  // call completes) and echoes the query id.
+  Message req;
+  req.type = OpCode(Op::kPing);
+  req.query_id = 42;
+  auto raw = client.Call(std::move(req));
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(raw->type, OpCode(Op::kError));
+  EXPECT_EQ(raw->query_id, 42u);
+  std::string text(raw->aux.begin(), raw->aux.end());
+  EXPECT_NE(text.find("handler blew up"), std::string::npos) << text;
+
+  // The protocol layer sees a ProtocolError, and the next call is served.
+  calls.store(0);
+  ProtoContext ctx(/*pk=*/nullptr, &client);
+  auto thrown = ctx.Call(Op::kPing, {});
+  ASSERT_FALSE(thrown.ok());
+  EXPECT_EQ(thrown.status().code(), StatusCode::kProtocolError);
+  auto next = ctx.Call(Op::kPing, {});
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->type, OpCode(Op::kPing));
 }
 
 TEST_P(RpcFailureTest, ShardQueryAgainstDeadPeerFailsFastNotForever) {

@@ -4,6 +4,11 @@
 // deployment path exercised in one process.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <thread>
 
 #include "net/rpc.h"
@@ -66,6 +71,30 @@ TEST(SocketTest, LargeFrame) {
   std::vector<uint8_t> frame;
   ASSERT_TRUE(pair.server->Recv(&frame));
   EXPECT_EQ(frame, big);
+}
+
+TEST(SocketTest, LyingLengthHeaderCostsOnlyTheBytesReceived) {
+  // A raw peer claims a 1 GiB frame, sends a few bytes of it and closes.
+  // Recv must fail without having allocated anywhere near the claim.
+  auto listener = TcpListener::Bind(0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  auto server = listener->Accept();
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint8_t lie[] = {0x00, 0x00, 0x00, 0x40, 1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_EQ(::send(fd, lie, sizeof(lie), 0),
+            static_cast<ssize_t>(sizeof(lie)));
+  ::close(fd);
+  std::vector<uint8_t> frame;
+  EXPECT_FALSE((*server)->Recv(&frame));
+  EXPECT_LE(frame.capacity(), std::size_t{1} << 20);
 }
 
 TEST(SocketTest, TrafficCounters) {
